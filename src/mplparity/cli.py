@@ -34,7 +34,6 @@ from .roots import (
 from .rationals import bernoulli_number, bernoulli_polynomial
 from .terms import (
     lincomb_from_dict,
-    lincomb_to_dict,
     lincomb_to_latex,
     lincomb_to_text,
     validate_generator,
@@ -112,11 +111,8 @@ class EquationCache:
             tmp.write_text(json.dumps({"engine_version": __version__}, indent=1))
             tmp.replace(self._manifest())
         path = self._entry(result.index, result.form)
-        doc = {"schema": "mplparity/lincomb-v1", "index": list(result.index),
-               "form": result.form, "weight": result.weight}
-        doc.update(lincomb_to_dict(result.equation))
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, indent=1))
+        tmp.write_text(result.json_text)
         tmp.replace(path)
 
 
@@ -151,10 +147,7 @@ def render_pli(result: PliResult, fmt: str) -> str:
             f"\\operatorname{{PLi}}_{{{idx}}}({args}) = "
             + lincomb_to_latex(result.equation)
         )
-    doc = {"schema": "mplparity/lincomb-v1", "index": list(result.index),
-           "form": result.form, "weight": result.weight}
-    doc.update(lincomb_to_dict(result.equation))
-    return json.dumps(doc, indent=1)
+    return result.json_text
 
 
 def render_czv(c: CzvCombination, fmt: str, **extra) -> str:

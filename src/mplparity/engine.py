@@ -23,9 +23,11 @@ that rather than assume it.
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .rationals import binom, signed_binomial
 from .terms import (
@@ -39,6 +41,7 @@ from .terms import (
     gen_depth,
     invert_depth1,
     li_generator,
+    lincomb_to_dict,
     make_generator,
     stuffle_swap_depth2,
 )
@@ -348,6 +351,15 @@ class PliResult:
     @property
     def depth(self) -> int:
         return len(self.index)
+
+    @cached_property
+    def json_text(self) -> str:
+        """The ``mplparity/lincomb-v1`` document, built once per result: it is
+        both the equation-cache file and the ``--format json`` block."""
+        doc = {"schema": "mplparity/lincomb-v1", "index": list(self.index),
+               "form": self.form, "weight": self.weight}
+        doc.update(lincomb_to_dict(self.equation))
+        return json.dumps(doc, indent=1)
 
 
 class Engine:

@@ -107,6 +107,25 @@ def sample_domain_point(d: int, seed: int, margin: float = 0.05) -> SamplePoint:
 # series evaluator
 
 
+def _prefix_levels(indices, values, M: int) -> list:
+    """Nested prefix sums T_0 = 1, T_i(k) = sum_{0<j<k} v_i^j j^{-n_i} T_{i-1}(j)
+    for i = 0..len(indices); level i is an array whose entry arr[k] holds
+    T_i(k+1), for k <= M."""
+    prev = [mp.mpf(1)] * (M + 1)
+    levels = [prev]
+    for v, nn in zip(values, indices):
+        cur = [mp.mpc(0)] * (M + 1)
+        acc = mp.mpc(0)
+        pw = mp.mpc(1)
+        for k in range(1, M + 1):
+            pw = pw * v
+            acc = acc + pw * prev[k - 1] / (k ** nn)
+            cur[k] = acc
+        prev = cur
+        levels.append(prev)
+    return levels
+
+
 def eval_li_series(indices, values, target: float = 1e-30, max_terms: int = 400000) -> HPComplex:
     """Truncated nested series for Li_n(v), requiring every tail product
     |v_i ... v_d| < 1.  The tail estimate is geometric in the largest tail
@@ -125,18 +144,7 @@ def eval_li_series(indices, values, target: float = 1e-30, max_terms: int = 4000
     M = max(40, int(math.log(max(target, 1e-300) * (1 - rho) / 20.0) / math.log(rho)) + 4 * d + 10)
     while True:
         M = min(M, max_terms)
-        prev = [mp.mpf(1)] * (M + 1)  # T_0
-        for lvl in range(d - 1):
-            cur = [mp.mpc(0)] * (M + 1)
-            acc = mp.mpc(0)
-            pw = mp.mpc(1)
-            v = vals[lvl]
-            nn = n[lvl]
-            for k in range(1, M + 1):
-                pw = pw * v
-                acc = acc + pw * prev[k - 1] / (k ** nn)
-                cur[k] = acc
-            prev = cur
+        prev = _prefix_levels(n[:-1], vals[:-1], M)[-1]
         total = mp.mpc(0)
         pw = mp.mpc(1)
         v = vals[d - 1]
@@ -383,6 +391,24 @@ def _span_value(a: ConsProd, zvals) -> mp.mpc:
     return prod
 
 
+def _li_factor_value(f: LiFactor, zvals, ctx: EvalContext, memo: dict) -> HPComplex:
+    """One Li factor at the bound point, memoized per factor: plain arguments
+    by the series, all-inverted arguments by the iterated integral."""
+    key = ("li", f)
+    got = memo.get(key)
+    if got is None:
+        if f.has_inverted():
+            if not all(a.inverted for a in f.args):
+                raise DomainError(f"mixed factor {f} is not evaluable")
+            base = [_span_value(ConsProd(a.start, a.end), zvals) for a in f.args]
+            got = eval_li_inverse(f.indices, base, ctx.integrator)
+        else:
+            vals = [_span_value(a, zvals) for a in f.args]
+            got = eval_li_series(f.indices, vals, ctx.target)
+        memo[key] = got
+    return got
+
+
 def eval_generator(g: Generator, zvals, ctx: EvalContext, memo: dict | None = None) -> HPComplex:
     """Product of factor evaluations at the bound point; Ber factors by the
     exact Bernoulli formula, plain Li factors by series, inverted factors by
@@ -399,19 +425,7 @@ def eval_generator(g: Generator, zvals, ctx: EvalContext, memo: dict | None = No
                 memo[key] = got
             out = out.mul(got)
         for f in g.lis:
-            key = ("li", f)
-            got = memo.get(key)
-            if got is None:
-                if f.has_inverted():
-                    if not all(a.inverted for a in f.args):
-                        raise DomainError(f"mixed factor {f} is not evaluable")
-                    base = [_span_value(ConsProd(a.start, a.end), zvals) for a in f.args]
-                    got = eval_li_inverse(f.indices, base, ctx.integrator)
-                else:
-                    vals = [_span_value(a, zvals) for a in f.args]
-                    got = eval_li_series(f.indices, vals, ctx.target)
-                memo[key] = got
-            out = out.mul(got)
+            out = out.mul(_li_factor_value(f, zvals, ctx, memo))
         return out
 
 
@@ -441,16 +455,7 @@ def eval_log_expansion(le: LogExpansion, zvals, ctx: EvalContext) -> HPComplex:
             for s, p in g.logs:
                 v = HPComplex(v.value * mp.log(-_span_value(ConsProd(s, g.ambient), zvals)) ** p, v.err)
             for f in g.lis:
-                key = ("li", f)
-                got = memo.get(key)
-                if got is None:
-                    if f.has_inverted():
-                        base = [_span_value(ConsProd(a.start, a.end), zvals) for a in f.args]
-                        got = eval_li_inverse(f.indices, base, ctx.integrator)
-                    else:
-                        got = eval_li_series(f.indices, [_span_value(a, zvals) for a in f.args], ctx.target)
-                    memo[key] = got
-                v = v.mul(got)
+                v = v.mul(_li_factor_value(f, zvals, ctx, memo))
             total = HPComplex(total.value + v.value * mp.mpf(c.numerator) / c.denominator,
                               total.err + v.err * abs(float(c)))
         return total
@@ -556,26 +561,9 @@ def _forward_diffs(vals: list, order: int) -> list:
     return [row[0] for row in out]
 
 
-def _prefix_arrays(m, fracs, M: int, all_levels: bool = False):
-    """Prefix sums T_i(k) = sum_{j<k} y_i^j j^{-m_i} T_{i-1}(j) at the roots;
-    the array entry arr[k] holds T_i(k+1).  Returns the last level, or all
-    levels when requested."""
-    d = len(m)
-    prev = [mp.mpf(1)] * (M + 1)
-    levels = [prev]
-    for lvl in range(d - 1):
-        y = root_value(fracs[lvl])
-        nn = m[lvl]
-        cur = [mp.mpc(0)] * (M + 1)
-        acc = mp.mpc(0)
-        pw = mp.mpc(1)
-        for k in range(1, M + 1):
-            pw = pw * y
-            acc = acc + pw * prev[k - 1] / (k ** nn)
-            cur[k] = acc
-        prev = cur
-        levels.append(prev)
-    return levels if all_levels else prev
+def _prefix_arrays(m, fracs, M: int) -> list:
+    """The prefix-sum levels of Li_m at the roots exp(2 pi i * fracs)."""
+    return _prefix_levels(m[:-1], [root_value(f) for f in fracs[:-1]], M)
 
 
 def _abel_tail(cfun, K: int, y: mp.mpc, order: int = 8):
@@ -704,7 +692,7 @@ def _czv_em(m, fracs, M: int = 1600, target: float | None = None) -> mp.mpc:
     m = tuple(m)
     d = len(m)
     while True:
-        levels = _prefix_arrays(m, fracs, M, all_levels=True)
+        levels = _prefix_arrays(m, fracs, M)
         S: dict = {(0, 0): mp.mpc(1)}
         err_acc = 0.0
         for i in range(1, d):
@@ -751,7 +739,7 @@ def _czv_abel(m, fracs, M: int = 1500, target: float | None = None) -> mp.mpc:
     y = root_value(fracs[-1])
     order = 8
     while True:
-        T = _prefix_arrays(m, fracs, M + order + 2)
+        T = _prefix_arrays(m, fracs, M + order + 2)[-1]
         nlast = m[-1]
         partial = mp.mpc(0)
         pw = mp.mpc(1)
@@ -788,7 +776,7 @@ def _czv_peel2(m, fracs, M: int = 1500, target: float | None = None) -> mp.mpc:
     t1_inf = _polylog_at_root(m1, f1)
     order = 8
     while True:
-        T = _prefix_arrays(m, fracs, M + order + 2)
+        T = _prefix_arrays(m, fracs, M + order + 2)[-1]
         partial = mp.mpc(0)
         head_partial = mp.mpc(0)
         pw = mp.mpc(1)
@@ -805,7 +793,9 @@ def _czv_peel2(m, fracs, M: int = 1500, target: float | None = None) -> mp.mpc:
             return (t1_inf - T[k - 1]) * y1inv ** k
 
         ratio = y1 * y2
-        if abs(ratio - 1) < mp.mpf("1e-12"):
+        # y1*y2 = 1 exactly when the phases sum to an integer; deciding it
+        # on the exact phases keeps the branch independent of the precision
+        if (f1 + f2) % 1 == 0:
             S = _geometric_moment_series(m1, y1)
             rem = _series_tail_sum(S, m2, M)
             resid = abs(sigma(M) - _series_eval(S, M)) + abs(

@@ -1,5 +1,6 @@
 """Exact rational arithmetic helpers: Bernoulli numbers and polynomials,
-signed binomial coefficients, and a small dense polynomial over Fraction.
+signed binomial coefficients, a small dense polynomial over Fraction, and
+the sparse linear-combination type every exact algebra of the package uses.
 
 Bernoulli convention: B_1 = B_1(0) = -1/2 (the generating function
 t*e^{xt}/(e^t - 1)).  All values are exact ``fractions.Fraction``.
@@ -138,6 +139,98 @@ class RatPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * lin + RatPolynomial([c])
         return acc
+
+
+class SparseSum:
+    """Sparse rational linear combination: a dict from hashable keys to
+    nonzero Fraction coefficients.
+
+    The one implementation of term arithmetic for the generator, log-basis,
+    word and root-of-unity algebras; subclasses add their domain operations
+    and a ``sort_key`` for ``sorted_items``.  Subclasses over an ambient
+    variable list store it in an ``ambient`` slot and override ``_empty``;
+    sums compare equal only within one class and one ambient.
+    """
+
+    __slots__ = ("terms",)
+    ambient = None
+
+    def __init__(self, terms: dict | None = None) -> None:
+        self.terms: dict = {}
+        if terms:
+            for key, c in terms.items():
+                self.add_term(key, c)
+
+    def _empty(self) -> "SparseSum":
+        """A zero sum of the same class over the same ambient."""
+        return type(self)()
+
+    def add_term(self, key, c) -> None:
+        c = Fraction(c)
+        if c == 0:
+            return
+        terms = self.terms
+        old = terms.get(key)
+        if old is None:
+            terms[key] = c
+            return
+        new = old + c
+        if new == 0:
+            del terms[key]
+        else:
+            terms[key] = new
+
+    def _copy(self) -> "SparseSum":
+        out = self._empty()
+        out.terms = dict(self.terms)
+        return out
+
+    def __add__(self, other: "SparseSum") -> "SparseSum":
+        out = self._copy()
+        for key, c in other.terms.items():
+            out.add_term(key, c)
+        return out
+
+    def __sub__(self, other: "SparseSum") -> "SparseSum":
+        out = self._copy()
+        for key, c in other.terms.items():
+            out.add_term(key, -c)
+        return out
+
+    def scale(self, c) -> "SparseSum":
+        c = Fraction(c)
+        out = self._empty()
+        if c != 0:
+            out.terms = {key: k * c for key, k in self.terms.items()}
+        return out
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.ambient == other.ambient
+            and self.terms == other.terms
+        )
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def all_integer(self) -> bool:
+        return all(c.denominator == 1 for c in self.terms.values())
+
+    @staticmethod
+    def sort_key(key):
+        return key
+
+    def sorted_items(self) -> list:
+        sort_key = self.sort_key
+        return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
+
+    def __repr__(self) -> str:
+        amb = "" if self.ambient is None else f"N={self.ambient}, "
+        return f"{type(self).__name__}({amb}{len(self.terms)} terms)"
 
 
 def bernoulli_polynomial(n: int) -> RatPolynomial:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple
 
-from .rationals import bernoulli_polynomial, binom, signed_binomial
+from .rationals import SparseSum, bernoulli_polynomial, binom, signed_binomial
 from .terms import ConsProd, Generator, LiFactor, LinComb
 from . import words
 
@@ -96,30 +96,18 @@ def make_term(ipi: int, ipow: int, factors: Iterable[CzvFactor]) -> CzvTerm:
     return CzvTerm(ipi, ipow % 4, tuple(sorted(factors, key=_factor_key)))
 
 
-class CzvCombination:
+def _term_key(t: CzvTerm):
+    return (t.weight, t.ipi, t.ipow, tuple(_factor_key(f) for f in t.factors))
+
+
+class CzvCombination(SparseSum):
     """Rational linear combination of root-of-unity polylogarithm symbols."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[CzvTerm, Fraction] | None = None) -> None:
-        self.terms: dict[CzvTerm, Fraction] = {}
-        if terms:
-            for t, c in terms.items():
-                self.add_term(t, c)
-
-    def add_term(self, t: CzvTerm, c) -> None:
-        c = Fraction(c)
-        if c == 0:
-            return
-        new = self.terms.get(t, Fraction(0)) + c
-        if new == 0:
-            self.terms.pop(t, None)
-        else:
-            self.terms[t] = new
-
-    @staticmethod
-    def zero() -> "CzvCombination":
-        return CzvCombination()
+    __slots__ = ()
+    sort_key = staticmethod(_term_key)
+    # Bound in this class's own namespace so that a wrapper installed on
+    # CzvCombination.add_term (perfbench/tracer.py does) sees every call.
+    add_term = SparseSum.add_term
 
     @staticmethod
     def constant(c) -> "CzvCombination":
@@ -133,27 +121,6 @@ class CzvCombination:
         out.add_term(make_term(0, 0, (CzvFactor(tuple(indices), tuple(roots)),)), c)
         return out
 
-    def __add__(self, other: "CzvCombination") -> "CzvCombination":
-        out = CzvCombination(dict(self.terms))
-        for t, c in other.terms.items():
-            out.add_term(t, c)
-        return out
-
-    def __sub__(self, other: "CzvCombination") -> "CzvCombination":
-        out = CzvCombination(dict(self.terms))
-        for t, c in other.terms.items():
-            out.add_term(t, -c)
-        return out
-
-    def scale(self, c) -> "CzvCombination":
-        c = Fraction(c)
-        out = CzvCombination()
-        if c == 0:
-            return out
-        for t, k in self.terms.items():
-            out.terms[t] = k * c
-        return out
-
     def mul(self, other: "CzvCombination") -> "CzvCombination":
         out = CzvCombination()
         for t1, c1 in self.terms.items():
@@ -164,30 +131,11 @@ class CzvCombination:
                 )
         return out
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CzvCombination) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def weights(self) -> set[int]:
         return {t.weight for t in self.terms}
 
     def max_depth(self) -> int:
         return max((sum(len(f.indices) for f in t.factors) for t in self.terms), default=0)
-
-    def all_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def sorted_items(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0].weight, kv[0].ipi, kv[0].ipow,
-                            tuple(_factor_key(f) for f in kv[0].factors)),
-        )
-
-    def __repr__(self) -> str:
-        return f"CzvCombination({len(self.terms)} terms)"
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +188,13 @@ def regularized_limit_factor(m, roots) -> CzvCombination:
     while r < len(word) and word[r] == one_letter:
         r += 1
     if r == len(word):
-        return CzvCombination.zero()
+        return CzvCombination()
     tau = word[r]
     tail = word[r + 1:]
     headed = words.WordSum()
     for w, c in words.shuffle(tail, (one_letter,) * r).terms.items():
         headed.add_term((tau,) + w, c)
-    out = CzvCombination.zero()
+    out = CzvCombination()
     for w, c in headed.terms.items():
         indices, letter_args = words.word_to_li(w, _root_div, lambda r: r.inv())
         final_roots = tuple(a.inv() for a in letter_args)
@@ -277,12 +225,12 @@ def specialize_lincomb(eq: LinComb, roots) -> CzvCombination:
     roots = tuple(roots)
     if len(roots) != eq.ambient:
         raise ValueError("one root per ambient variable required")
-    out = CzvCombination.zero()
+    out = CzvCombination()
     for g, c in eq.terms.items():
         term = CzvCombination.constant(c)
         for s, k in g.bers:
             coeff, p = ber_at_root(k, _span_root(ConsProd(s, g.ambient), roots))
-            piece = CzvCombination.zero()
+            piece = CzvCombination()
             piece.add_term(make_term(p, 0, ()), coeff)
             term = term.mul(piece)
         for f in g.lis:
@@ -326,7 +274,7 @@ def normalize_czv(c: CzvCombination, fold_even: bool = True) -> CzvCombination:
     """Canonical form: Li at -1 rewritten through zeta values where exact
     (Li_k(-1) = -(1-2^{1-k}) zeta(k), k >= 2), and even zeta values folded
     into (i*pi)-powers so depth-0 parts compare exactly."""
-    out = CzvCombination.zero()
+    out = CzvCombination()
     for t, coeff in c.terms.items():
         factors: list[CzvFactor] = []
         ipi = t.ipi
@@ -355,21 +303,20 @@ def render_real_imag(c: CzvCombination) -> CzvCombination:
       k even:  Li_k(z) = -ber_k(z)/2 + i Im Li_k(z)
       k odd:   Li_k(z) =  Re Li_k(z) - ber_k(z)/2
     """
-    out = CzvCombination.zero()
+    out = CzvCombination()
     for t, coeff in c.terms.items():
-        pieces = [CzvCombination.zero()]
-        pieces[0].add_term(make_term(t.ipi, t.ipow, ()), coeff)
-        acc = pieces[0]
+        acc = CzvCombination()
+        acc.add_term(make_term(t.ipi, t.ipow, ()), coeff)
         for f in t.factors:
             if f.part or len(f.indices) != 1 or f.roots[0] in (ONE_ROOT, MINUS_ONE):
-                single = CzvCombination.zero()
+                single = CzvCombination()
                 single.add_term(make_term(0, 0, (f,)), 1)
                 acc = acc.mul(single)
                 continue
             k = f.indices[0]
             root = f.roots[0]
             bcoeff, bp = ber_at_root(k, root)
-            split = CzvCombination.zero()
+            split = CzvCombination()
             split.add_term(make_term(bp, 0, ()), -bcoeff / 2)
             part = "im" if k % 2 == 0 else "re"
             split.add_term(
@@ -403,7 +350,7 @@ def reduce_mzv_depth2(n1: int, n2: int) -> CzvCombination:
         raise ValueError("even weight: use the even-weight relation instead")
     if n2 < 2:
         raise ValueError("n2 >= 2 required for a convergent zeta")
-    out = CzvCombination.zero()
+    out = CzvCombination()
     for k in range(3, w + 1):
         if (w - k) % 2:
             continue
@@ -426,7 +373,7 @@ def mzv_depth2_even_relation(n1: int, n2: int) -> CzvCombination:
     w = n1 + n2
     if w % 2:
         raise ValueError("this relation is for even weight")
-    out = CzvCombination.zero()
+    out = CzvCombination()
     for k in range(2, w + 1):
         if (w - k) % 2:
             continue
@@ -458,7 +405,7 @@ def reduce_mzv_depth3(n1: int, n2: int, n3: int) -> CzvCombination:
         raise ValueError("odd weight is already covered in depth two")
     if n3 < 2:
         raise ValueError("n3 >= 2 required for a convergent zeta")
-    out = CzvCombination.zero()
+    out = CzvCombination()
     for ms in ((n1 + n2, n3), (n1, n2 + n3), (w,)):
         out.add_term(make_term(0, 0, (_mzv_factor(ms),)), Fraction(-1, 2))
     for mu in range(1, w + 1):
@@ -525,10 +472,10 @@ def alt_depth2(n1: int, n2: int, s1: int, s2: int) -> CzvCombination:
         if k == 0:
             return CzvCombination.constant(coeff * Fraction(-1, 2))
         if k == 1 and root.is_one():
-            return CzvCombination.zero()  # shuffle-regularized limit
+            return CzvCombination()  # shuffle-regularized limit
         return CzvCombination.symbol((k,), (root,), coeff)
 
-    out = CzvCombination.zero()
+    out = CzvCombination()
     for k in range(1, w + 1, 2):
         s2pow = w - k
         lead = li_symbol(s2pow, z12, Fraction((-1) ** n1))
@@ -546,50 +493,26 @@ def alt_depth2(n1: int, n2: int, s1: int, s2: int) -> CzvCombination:
 # exact bivariate Bernoulli identity
 
 
-class _BivarPoly:
-    __slots__ = ("c",)
-
-    def __init__(self) -> None:
-        self.c: dict[tuple[int, int], Fraction] = {}
-
-    def add(self, i: int, j: int, v: Fraction) -> None:
-        if v == 0:
-            return
-        key = (i, j)
-        new = self.c.get(key, Fraction(0)) + v
-        if new == 0:
-            self.c.pop(key, None)
-        else:
-            self.c[key] = new
-
-
-def _bernoulli_xy(p: int, in_x: bool) -> dict[tuple[int, int], Fraction]:
+def _bernoulli_xy(p: int, in_x: bool) -> SparseSum:
+    """B_p(x) or B_p(y), keyed by the exponent pair (i, j) of x^i y^j."""
     poly = bernoulli_polynomial(p)
-    return {
-        ((a, 0) if in_x else (0, a)): c
-        for a, c in enumerate(poly.coeffs)
-        if c != 0
-    }
+    return SparseSum({((a, 0) if in_x else (0, a)): c for a, c in enumerate(poly.coeffs)})
 
 
-def _bernoulli_x_plus_y(p: int) -> dict[tuple[int, int], Fraction]:
-    poly = bernoulli_polynomial(p)
-    out: dict[tuple[int, int], Fraction] = {}
-    for a, c in enumerate(poly.coeffs):
-        if c == 0:
-            continue
+def _bernoulli_x_plus_y(p: int) -> SparseSum:
+    out = SparseSum()
+    for a, c in enumerate(bernoulli_polynomial(p).coeffs):
         for b in range(a + 1):
-            key = (b, a - b)
-            out[key] = out.get(key, Fraction(0)) + c * binom(a, b)
+            out.add_term((b, a - b), c * binom(a, b))
     return out
 
 
-def _mul_into(acc: _BivarPoly, p1: dict, p2: dict, scale: Fraction) -> None:
+def _mul_into(acc: SparseSum, p1: SparseSum, p2: SparseSum, scale: Fraction) -> None:
     if scale == 0:
         return
-    for (i1, j1), c1 in p1.items():
-        for (i2, j2), c2 in p2.items():
-            acc.add(i1 + i2, j1 + j2, scale * c1 * c2)
+    for (i1, j1), c1 in p1.terms.items():
+        for (i2, j2), c2 in p2.terms.items():
+            acc.add_term((i1 + i2, j1 + j2), scale * c1 * c2)
 
 
 def bernoulli_identity_check(n1: int, n2: int) -> bool:
@@ -601,7 +524,7 @@ def bernoulli_identity_check(n1: int, n2: int) -> bool:
     if n1 < 0 or n2 < 0:
         raise ValueError("nonnegative orders required")
     w = n1 + n2
-    lhs = _BivarPoly()
+    lhs = SparseSum()
     for mu in range(w + 1):
         outer = Fraction(binom(w, mu))
         bxy = _bernoulli_x_plus_y(w - mu)
@@ -610,10 +533,10 @@ def bernoulli_identity_check(n1: int, n2: int) -> bool:
         if mu >= n2:
             _mul_into(lhs, bxy, _bernoulli_xy(mu, False), outer * signed_binomial(-n2, mu - n2))
         if mu == 0:
-            _mul_into(lhs, bxy, {(0, 0): Fraction(1)}, -outer)
-    rhs = _BivarPoly()
+            _mul_into(lhs, bxy, SparseSum({(0, 0): 1}), -outer)
+    rhs = SparseSum()
     _mul_into(rhs, _bernoulli_xy(n1, True), _bernoulli_xy(n2, False), Fraction(binom(w, n1)))
-    return lhs.c == rhs.c
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +548,7 @@ def integrality_check(obj) -> bool:
     LinComb of a functional equation, or the literal coefficients of a
     CzvCombination (callers working with single-MZV reductions should pass
     the doubled parity combination 2*zeta = PLi at unity)."""
-    if isinstance(obj, CzvCombination):
-        return obj.all_integer()
-    if isinstance(obj, LinComb):
+    if isinstance(obj, SparseSum):
         return obj.all_integer()
     return obj.equation.all_integer()
 

@@ -18,11 +18,10 @@ rather than assumed.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .rationals import bernoulli_number
+from .rationals import SparseSum, bernoulli_number
 
 
 class RewriteError(ValueError):
@@ -105,10 +104,6 @@ def make_generator(ambient: int, bers: Iterable[tuple[int, int]], lis: Iterable[
     return Generator(ambient, tuple(bs), tuple(ls))
 
 
-def unit_generator(ambient: int) -> Generator:
-    return Generator(ambient, (), ())
-
-
 def validate_generator(g: Generator, depth_bound: int, weight: int) -> bool:
     """Strict canonical-form check: Li argument spans disjoint, increasing,
     inversion-free; total depth <= depth_bound; total weight == weight."""
@@ -128,58 +123,27 @@ def validate_generator(g: Generator, depth_bound: int, weight: int) -> bool:
     return True
 
 
-class LinComb:
+class LinComb(SparseSum):
     """Rational linear combination of generators over one ambient list."""
 
-    __slots__ = ("ambient", "terms")
+    __slots__ = ("ambient",)
+    sort_key = staticmethod(gen_sort_key)
 
     def __init__(self, ambient: int, terms: dict[Generator, Fraction] | None = None) -> None:
         self.ambient = ambient
-        self.terms: dict[Generator, Fraction] = {}
-        if terms:
-            for g, c in terms.items():
-                self.add_term(g, c)
+        SparseSum.__init__(self, terms)
+
+    def _empty(self) -> "LinComb":
+        return LinComb(self.ambient)
 
     def add_term(self, g: Generator, c) -> None:
         if g.ambient != self.ambient:
             raise ValueError("ambient mismatch")
-        c = Fraction(c)
-        if c == 0:
-            return
-        new = self.terms.get(g, Fraction(0)) + c
-        if new == 0:
-            self.terms.pop(g, None)
-        else:
-            self.terms[g] = new
-
-    @staticmethod
-    def zero(ambient: int) -> "LinComb":
-        return LinComb(ambient)
+        SparseSum.add_term(self, g, c)
 
     @staticmethod
     def single(g: Generator, c=1) -> "LinComb":
         return LinComb(g.ambient, {g: Fraction(c)})
-
-    def __add__(self, other: "LinComb") -> "LinComb":
-        out = LinComb(self.ambient, dict(self.terms))
-        for g, c in other.terms.items():
-            out.add_term(g, c)
-        return out
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        out = LinComb(self.ambient, dict(self.terms))
-        for g, c in other.terms.items():
-            out.add_term(g, -c)
-        return out
-
-    def scale(self, c) -> "LinComb":
-        c = Fraction(c)
-        out = LinComb(self.ambient)
-        if c == 0:
-            return out
-        for g, k in self.terms.items():
-            out.terms[g] = k * c
-        return out
 
     def mul_generator(self, h: Generator, c=1) -> "LinComb":
         """Product with a single generator (Ber starts must not collide)."""
@@ -197,46 +161,17 @@ class LinComb:
                 out.add_term(g2, c2)
         return out
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinComb)
-            and self.ambient == other.ambient
-            and self.terms == other.terms
-        )
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def max_depth(self) -> int:
         return max((gen_depth(g) for g in self.terms), default=0)
 
     def weights(self) -> set[int]:
         return {gen_weight(g) for g in self.terms}
 
-    def all_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kv: gen_sort_key(kv[0]))
-
-    def __repr__(self) -> str:
-        return f"LinComb(N={self.ambient}, {len(self.terms)} terms)"
-
 
 def generator_product(g: Generator, h: Generator) -> Generator:
     if g.ambient != h.ambient:
         raise ValueError("ambient mismatch in product")
     return make_generator(g.ambient, g.bers + h.bers, g.lis + h.lis)
-
-
-def normalize(c: LinComb) -> LinComb:
-    """Drop zero coefficients and merge equal generators.  LinComb maintains
-    this invariant on construction, so this is idempotent by design; kept as
-    an explicit operation for callers that build term dicts directly."""
-    return LinComb(c.ambient, dict(c.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -321,38 +256,17 @@ class LogGenerator(NamedTuple):
     lis: tuple[LiFactor, ...]
 
 
-class LogExpansion:
-    __slots__ = ("ambient", "terms")
+class LogExpansion(SparseSum):
+    """Rational linear combination of log-basis generators."""
+
+    __slots__ = ("ambient",)
 
     def __init__(self, ambient: int, terms: dict[LogGenerator, Fraction] | None = None) -> None:
         self.ambient = ambient
-        self.terms: dict[LogGenerator, Fraction] = {}
-        if terms:
-            for g, c in terms.items():
-                self.add_term(g, c)
+        SparseSum.__init__(self, terms)
 
-    def add_term(self, g: LogGenerator, c) -> None:
-        c = Fraction(c)
-        if c == 0:
-            return
-        new = self.terms.get(g, Fraction(0)) + c
-        if new == 0:
-            self.terms.pop(g, None)
-        else:
-            self.terms[g] = new
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LogExpansion)
-            and self.ambient == other.ambient
-            and self.terms == other.terms
-        )
-
-    def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def __repr__(self) -> str:
-        return f"LogExpansion(N={self.ambient}, {len(self.terms)} terms)"
+    def _empty(self) -> "LogExpansion":
+        return LogExpansion(self.ambient)
 
 
 def _ber_log_pieces(k: int) -> list[tuple[int, int, Fraction]]:
@@ -438,12 +352,6 @@ def lincomb_from_dict(data: dict) -> LinComb:
         ]
         out.add_term(make_generator(amb, bers, lis), Fraction(t["coeff"]))
     return out
-
-
-def lincomb_to_json(lc: LinComb, **extra) -> str:
-    doc = dict(extra)
-    doc.update(lincomb_to_dict(lc))
-    return json.dumps(doc, indent=1, sort_keys=False)
 
 
 def lincomb_to_text(lc: LinComb) -> str:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, NamedTuple
 
+from .rationals import SparseSum
+
 
 class TranslationError(ValueError):
     pass
@@ -46,47 +48,10 @@ Word = tuple
 EMPTY: Word = ()
 
 
-class WordSum:
+class WordSum(SparseSum):
     """Formal rational linear combination of words (no zero coefficients)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None) -> None:
-        self.terms: dict[Word, Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                self.add_term(w, c)
-
-    def add_term(self, w: Word, c) -> None:
-        c = Fraction(c)
-        if c == 0:
-            return
-        new = self.terms.get(w, Fraction(0)) + c
-        if new == 0:
-            self.terms.pop(w, None)
-        else:
-            self.terms[w] = new
-
-    def __add__(self, other: "WordSum") -> "WordSum":
-        out = WordSum(dict(self.terms))
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
-
-    def __sub__(self, other: "WordSum") -> "WordSum":
-        out = WordSum(dict(self.terms))
-        for w, c in other.terms.items():
-            out.add_term(w, -c)
-        return out
-
-    def scale(self, c) -> "WordSum":
-        c = Fraction(c)
-        out = WordSum()
-        if c == 0:
-            return out
-        for w, k in self.terms.items():
-            out.terms[w] = k * c
-        return out
+    __slots__ = ()
 
     def concat_right(self, suffix: Word) -> "WordSum":
         out = WordSum()
@@ -94,13 +59,10 @@ class WordSum:
             out.add_term(w + suffix, c)
         return out
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WordSum) and self.terms == other.terms
-
     def __repr__(self) -> str:
         if not self.terms:
             return "WordSum(0)"
-        bits = [f"{c}*{list(w)}" for w, c in sorted(self.terms.items())]
+        bits = [f"{c}*{list(w)}" for w, c in self.sorted_items()]
         return "WordSum(" + " + ".join(bits) + ")"
 
     def total_mass(self) -> Fraction:

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from mplparity.cli import (
     parse_roots,
     render_pli,
 )
+from mplparity import terms
 from mplparity.engine import ENGINE, pli
 from mplparity.terms import validate_generator
 
@@ -98,17 +100,34 @@ def test_index_enumeration():
     assert len(list(all_indices(6))) == 63
 
 
-def test_table_and_cache_roundtrip(tmp_path, capsys):
+def test_table_and_cache_roundtrip(tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "table.json"
     cache_dir = tmp_path / "cache"
+    # count document builds through every module binding of the builder
+    calls = []
+    original = terms.lincomb_to_dict
+
+    def counting(lc):
+        calls.append(lc)
+        return original(lc)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mplparity") and getattr(module, "lincomb_to_dict", None) is original:
+            monkeypatch.setattr(module, "lincomb_to_dict", counting)
     code, _ = run_cli(
         capsys, "table", "--max-weight", "3", "--out", str(out_path),
         "--format", "json", "--cache", str(cache_dir),
     )
     assert code == 0
+    assert len(calls) == 7  # one document per equation, shared by table and cache
+    monkeypatch.undo()
     entries = json.loads(out_path.read_text())
     assert len(entries) == 7
     first = out_path.read_bytes()
+    # each cache file holds exactly that equation's block of the table
+    files = [cache_dir / f"pli_compact_{'_'.join(map(str, n))}.json" for n in all_indices(3)]
+    blocks = [p.read_bytes() for p in files]
+    assert first == b"[\n" + b",\n".join(blocks) + b"\n]\n"
     # warm-cache rerun must be byte-identical
     code, _ = run_cli(
         capsys, "table", "--max-weight", "3", "--out", str(out_path),

@@ -9,6 +9,7 @@ from mplparity.terms import (
     Generator,
     LiFactor,
     LinComb,
+    LogExpansion,
     LogGenerator,
     RewriteError,
     ber_generator,
@@ -22,10 +23,11 @@ from mplparity.terms import (
     lincomb_to_dict,
     lincomb_to_text,
     make_generator,
-    normalize,
     stuffle_swap_depth2,
     validate_generator,
 )
+from mplparity.roots import CzvCombination, make_term
+from mplparity.words import ZERO, WordSum
 
 
 def test_validate_examples():
@@ -84,7 +86,37 @@ def test_normalize_order_insensitive():
             other.add_term(g, c)
         assert other == base
         assert json.dumps(lincomb_to_dict(other)) == json.dumps(lincomb_to_dict(base))
-    assert normalize(base) == base
+    # rebuilding from the stored terms merges nothing and drops nothing
+    assert LinComb(2, dict(base.terms)) == base
+    assert all(c != 0 for c in base.terms.values())
+
+
+SPARSE_SUMS = {
+    "LinComb": (lambda: LinComb(1), ber_generator(1, 1, 2)),
+    "LogExpansion": (lambda: LogExpansion(1), LogGenerator(1, 2, ((1, 1),), ())),
+    "CzvCombination": (CzvCombination, make_term(2, 0, ())),
+    "WordSum": (WordSum, (ZERO, ZERO)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPARSE_SUMS))
+def test_sparse_sum_invariants(kind):
+    make, key = SPARSE_SUMS[kind]
+    s = make()
+    s.add_term(key, Fraction(3, 2))
+    s.add_term(key, 0)
+    assert s.terms == {key: Fraction(3, 2)}
+    s.add_term(key, Fraction(-3, 2))
+    assert s.terms == {} and s.is_zero() and len(s) == 0
+    # equal terms in another class never compare equal
+    s.add_term(key, 1)
+    for other_kind, (other_make, _) in SPARSE_SUMS.items():
+        other = other_make()
+        other.terms = dict(s.terms)
+        assert (other == s) == (other_kind == kind)
+    if kind == "LinComb":
+        with pytest.raises(ValueError):
+            s.add_term(ber_generator(2, 1, 2), 1)
 
 
 def test_invert_depth1_cases():
