@@ -97,6 +97,10 @@ class EquationCache:
             data = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
+        # an entry stored for another index or form is a miss, not a hit
+        if (not isinstance(data, dict) or data.get("index") != list(index)
+                or data.get("form") != form):
+            return None
         eq = lincomb_from_dict(data)
         if form == "canonical":
             w = sum(index)

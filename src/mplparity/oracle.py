@@ -6,7 +6,10 @@ Three evaluators:
     modulus < 1 (with a geometric tail estimate),
   * iterated-integral (hyperlogarithm) quadrature for Li at inverted
     arguments, via panelized Gauss-Legendre spectral integration of the
-    nested primitives F_k(t) = int_0^t F_{k-1}(s) ds/(s - sigma_k),
+    nested primitives F_k(t) = int_0^t F_{k-1}(s) ds/(s - sigma_k); the
+    Gauss data and the sweeps run in fixed point (Python integers scaled
+    by 2^prec, prec = working precision + GUARD_BITS), and only the result
+    is converted to mpmath,
   * series evaluation of multiple polylogarithms at roots of unity with
     Abel-summed or asymptotically-fitted tails.
 
@@ -17,19 +20,23 @@ estimates for Abel tails); they are reported alongside every value.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, to_fixed
 
 from .rationals import bernoulli_polynomial
 from .terms import ConsProd, Generator, LiFactor, LinComb, LogExpansion
 
 DEFAULT_DPS = 50
 GUARD_DIGITS = 10
+GUARD_BITS = 32  # fixed-point quadrature bits beyond the working precision
 
 
 class DomainError(ValueError):
@@ -167,64 +174,81 @@ def eval_li_series(indices, values, target: float = 1e-30, max_terms: int = 4000
 # hyperlogarithm quadrature
 
 
-class _GaussData:
-    def __init__(self, order: int) -> None:
-        self.order = order
-        self.nodes, self.weights = _legendre_nodes(order)
-        self.cum = _cumulative_matrix(order, self.nodes, self.weights)
+class _GaussData(NamedTuple):
+    """Gauss-Legendre data of one order in fixed point: every entry is an
+    integer v standing for v / 2^prec.  ``cum[i][j]`` integrates the
+    degree-(order-1) interpolant's cardinal L_j from -1 to node i."""
+
+    order: int
+    prec: int
+    nodes: tuple
+    weights: tuple
+    cum: tuple
 
 
-def _legendre_pair(q: int, x):
-    """(P_q(x), P'_q(x)) by the three-term recurrence."""
-    p0, p1 = mp.mpf(1), x
+def _legendre_pair(q: int, x: int, prec: int) -> tuple[int, int]:
+    """(P_q(x), P'_q(x)) in fixed point by the three-term recurrence."""
+    one = 1 << prec
+    p0, p1 = one, x
     for m in range(2, q + 1):
-        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-    dp = q * (x * p1 - p0) / (x * x - 1)
+        p0, p1 = p1, ((2 * m - 1) * (x * p1 >> prec) - (m - 1) * p0) // m
+    dp = (q * (x * p1 - (p0 << prec)) << prec) // (x * x - (one << prec))
     return p1, dp
 
 
-def _legendre_nodes(q: int):
-    nodes, weights = [], []
-    tol = mp.mpf(10) ** (-(mp.mp.dps - 3))
-    for i in range(q):
-        x = mp.mpf(math.cos(math.pi * (4 * i + 3) / (4 * q + 2)))
-        for _ in range(100):
-            p, dp = _legendre_pair(q, x)
-            dx = p / dp
-            x = x - dx
-            if abs(dx) < tol:
-                break
-        p, dp = _legendre_pair(q, x)
-        nodes.append(x)
-        weights.append(2 / ((1 - x * x) * dp * dp))
-    order = sorted(range(q), key=lambda i: nodes[i])
-    return [nodes[i] for i in order], [weights[i] for i in order]
+def _legendre_root(q: int, x: int, prec: int) -> tuple[int, int]:
+    """Newton's method from x to a root of P_q; returns (root, P'_q(root))."""
+    for _ in range(100):
+        p, dp = _legendre_pair(q, x, prec)
+        dx = (p << prec) // dp
+        x -= dx
+        # quadratic convergence: a step this small leaves only rounding
+        if abs(dx) < 1 << 16:
+            return x, _legendre_pair(q, x, prec)[1]
+    raise PrecisionError(f"Legendre root of order {q} did not converge")
 
 
-def _cumulative_matrix(q: int, nodes, weights):
-    """CUM[i][j] = int_{-1}^{x_i} of the degree-(q-1) interpolant cardinal L_j,
-    assembled through the Legendre modal basis."""
+@functools.cache
+def _gauss_data(order: int, prec: int) -> _GaussData:
+    """Nodes, weights and cumulative matrix of order q at fixed-point
+    precision prec, built once per (order, prec).  Only the nonnegative
+    nodes are solved for; the rest follow from the symmetry x -> -x."""
+    q = order
+    one = 1 << prec
+    pos = []  # (node, P'_q(node)) for the positive nodes, descending
+    for i in range(q // 2):
+        guess = math.cos(math.pi * (4 * i + 3) / (4 * q + 2))
+        pos.append(_legendre_root(q, int(math.ldexp(guess, 53)) << (prec - 53), prec))
+    middle = [(0, _legendre_pair(q, 0, prec)[1])] if q % 2 else []
+    nonneg = middle + pos[::-1]  # ascending
+    xs = [x for x, _ in nonneg]
+    # w = 2 / ((1 - x^2) P'_q(x)^2)
+    ws = [(1 << (5 * prec + 1)) // ((one * one - x * x) * dp * dp) for x, dp in nonneg]
+    k = len(middle)
+    nodes = tuple([-x for x in reversed(xs[k:])] + xs)
+    weights = tuple(ws[k:][::-1] + ws)
     # P_m(x_j) for m = 0..q
-    P = [[mp.mpf(1)] * q, list(nodes)]
+    P = [[one] * q, list(nodes)]
     for m in range(2, q + 1):
-        P.append(
-            [
-                ((2 * m - 1) * nodes[j] * P[m - 1][j] - (m - 1) * P[m - 2][j]) / m
-                for j in range(q)
-            ]
-        )
-    # modal analysis M[m][j] = (2m+1)/2 w_j P_m(x_j)
-    # antiderivative A[i][m] = int_{-1}^{x_i} P_m
-    cum = [[mp.mpf(0)] * q for _ in range(q)]
-    for m in range(q):
-        if m == 0:
-            anti = [nodes[i] + 1 for i in range(q)]
-        else:
-            anti = [(P[m + 1][i] - P[m - 1][i]) / (2 * m + 1) for i in range(q)]
-        for i in range(q):
-            for j in range(q):
-                cum[i][j] += anti[i] * (2 * m + 1) / 2 * weights[j] * P[m][j]
-    return cum
+        P.append([((2 * m - 1) * (x * p1 >> prec) - (m - 1) * p0) // m
+                  for x, p0, p1 in zip(nodes, P[m - 2], P[m - 1])])
+    # CUM[i][j] = sum_m anti_m(x_i) (2m+1)/2 w_j P_m(x_j), where
+    # anti_m = int_{-1}^x P_m = (P_{m+1} - P_{m-1})/(2m+1) and anti_0 = x + 1
+    cols = [[P[m][j] for m in range(q)] for j in range(q)]
+    cum = []
+    for i in range((q + 1) // 2):
+        anti = [nodes[i] + one] + [P[m + 1][i] - P[m - 1][i] for m in range(1, q)]
+        cum.append([w * sum(map(mul, anti, col)) >> (2 * prec + 1)
+                    for w, col in zip(weights, cols)])
+    # int_{-1}^{x_i} L_j = int_{x_{q-1-i}}^{1} L_{q-1-j} = w_j - CUM[q-1-i][q-1-j]
+    for i in range((q + 1) // 2, q):
+        mirror = cum[q - 1 - i][::-1]
+        cum.append([w - c for w, c in zip(weights, mirror)])
+    return _GaussData(q, prec, nodes, weights, tuple(tuple(row) for row in cum))
+
+
+def _to_fixed(x: mp.mpf, prec: int) -> int:
+    return to_fixed(x._mpf_, prec)
 
 
 class HyperlogIntegrator:
@@ -233,14 +257,17 @@ class HyperlogIntegrator:
 
     Panels are refined until every nonzero letter is at distance at least
     0.9 * panel length; the error estimate compares two spectral orders.
+    The sweeps run in fixed point at the working precision plus
+    ``GUARD_BITS``; the Gauss data of each (order, precision) is shared by
+    every integrator.
     """
 
     def __init__(self, dps: int, order: int | None = None) -> None:
         self.dps = dps
         self.order = order if order is not None else dps + 16
-        with mp.workdps(dps + GUARD_DIGITS):
-            self._lo = _GaussData(self.order)
-            self._hi = _GaussData(self.order + 10)
+        self.prec = dps_to_prec(dps + GUARD_DIGITS) + GUARD_BITS
+        self._lo = _gauss_data(self.order, self.prec)
+        self._hi = _gauss_data(self.order + 10, self.prec)
 
     def _panels(self, letters) -> list[tuple[mp.mpf, mp.mpf]]:
         sing = [s for s in letters if s != 0]
@@ -275,46 +302,53 @@ class HyperlogIntegrator:
         out.sort(key=lambda p: p[0])
         return out
 
-    def _sweep(self, letters, panels, gauss: _GaussData):
+    def _sweep(self, letters, panels, gauss: _GaussData) -> mp.mpc:
+        """Value of the word; letters are (re, im) and panels (a, b) pairs
+        in fixed point at ``gauss.prec``.  Each row of the cumulative matrix,
+        and the weights after them, meet the panel values in one integer dot
+        product with one shift."""
+        prec = gauss.prec
         q = gauss.order
-        nodes_p = []
-        half_p = []
-        for a, b in panels:
-            half = (b - a) / 2
-            mid = (a + b) / 2
-            nodes_p.append([mid + half * x for x in gauss.nodes])
-            half_p.append(half)
-        fvals = [[mp.mpc(1)] * q for _ in panels]
-        left = mp.mpc(0)
+        rows = gauss.cum + (gauss.weights,)
+        # per letter and panel, the kernel half / (t_j - sigma) at the nodes
+        kernels = {}
+        for sr, si in set(letters):
+            per_panel = []
+            for a, b in panels:
+                half, mid = (b - a) >> 1, (a + b) >> 1
+                kr, ki = [], []
+                for x in gauss.nodes:
+                    dr = mid + (half * x >> prec) - sr
+                    den = dr * dr + si * si
+                    kr.append((half * dr << prec) // den)
+                    ki.append((half * si << prec) // den)
+                per_panel.append((kr, ki))
+            kernels[sr, si] = per_panel
+        one = 1 << prec
+        fvals = [([one] * q, [0] * q) for _ in panels]
+        left_r = left_i = 0
         for sig in reversed(letters):
-            left = mp.mpc(0)
+            left_r = left_i = 0
             new = []
-            for p in range(len(panels)):
-                ts = nodes_p[p]
-                fp = fvals[p]
-                g = [fp[j] / (ts[j] - sig) for j in range(q)]
-                half = half_p[p]
-                row = []
-                for i in range(q):
-                    acc = mp.mpc(0)
-                    ci = gauss.cum[i]
-                    for j in range(q):
-                        acc += ci[j] * g[j]
-                    row.append(left + half * acc)
-                new.append(row)
-                acc = mp.mpc(0)
-                for j in range(q):
-                    acc += gauss.weights[j] * g[j]
-                left = left + half * acc
+            for (kr, ki), (fr, fi) in zip(kernels[sig], fvals):
+                gr = [(a * c - b * d) >> prec for a, b, c, d in zip(fr, fi, kr, ki)]
+                gi = [(a * d + b * c) >> prec for a, b, c, d in zip(fr, fi, kr, ki)]
+                ir = [sum(map(mul, row, gr)) >> prec for row in rows]
+                ii = [sum(map(mul, row, gi)) >> prec for row in rows]
+                new.append(([left_r + v for v in ir[:q]], [left_i + v for v in ii[:q]]))
+                left_r += ir[q]
+                left_i += ii[q]
             fvals = new
-        return left
+        return mp.mpc(mp.mpf((left_r, -prec)), mp.mpf((left_i, -prec)))
 
     def word_value(self, letters) -> HPComplex:
         letters = [mp.mpc(s) for s in letters]
+        prec = self.prec
         with mp.workdps(self.dps + GUARD_DIGITS):
-            panels = self._panels(letters)
-            lo = self._sweep(letters, panels, self._lo)
-            hi = self._sweep(letters, panels, self._hi)
+            panels = [(_to_fixed(a, prec), _to_fixed(b, prec)) for a, b in self._panels(letters)]
+            fixed = [(_to_fixed(s.real, prec), _to_fixed(s.imag, prec)) for s in letters]
+            lo = self._sweep(fixed, panels, self._lo)
+            hi = self._sweep(fixed, panels, self._hi)
             return HPComplex(hi, float(abs(hi - lo)) + 10.0 ** (-min(self.dps + 2, 300)))
 
 

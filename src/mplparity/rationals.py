@@ -187,9 +187,14 @@ class SparseSum:
 
     def __add__(self, other: "SparseSum") -> "SparseSum":
         out = self._copy()
-        for key, c in other.terms.items():
-            out.add_term(key, c)
+        out += other
         return out
+
+    def __iadd__(self, other: "SparseSum") -> "SparseSum":
+        """Add ``other`` into this sum in place, term by term."""
+        for key, c in other.terms.items():
+            self.add_term(key, c)
+        return self
 
     def __sub__(self, other: "SparseSum") -> "SparseSum":
         out = self._copy()

@@ -236,7 +236,7 @@ def specialize_lincomb(eq: LinComb, roots) -> CzvCombination:
         for f in g.lis:
             argroots = tuple(_span_root(a, roots) for a in f.args)
             term = term.mul(regularized_limit_factor(f.indices, argroots))
-        out = out + term
+        out += term
     return out
 
 
@@ -325,7 +325,7 @@ def render_real_imag(c: CzvCombination) -> CzvCombination:
                 1,
             )
             acc = acc.mul(split)
-        out = out + acc
+        out += acc
     return out
 
 
@@ -342,16 +342,12 @@ def _mzv_factor(ms) -> CzvFactor:
     return CzvFactor(ms, (ONE_ROOT,) * len(ms))
 
 
-def reduce_mzv_depth2(n1: int, n2: int) -> CzvCombination:
-    """zeta(n1, n2) for odd weight, n2 >= 2, as a zeta(2s) zeta(k) bilinear
-    combination minus zeta(w)/2."""
+def _mzv_depth2_relation(n1: int, n2: int, k_start: int, last: Fraction) -> CzvCombination:
+    """sum over k >= k_start, k = w mod 2, of the zeta(w-k) zeta(k) terms
+    of the depth-2 relation for zeta(n1, n2), plus last * zeta(w)."""
     w = n1 + n2
-    if w % 2 == 0:
-        raise ValueError("even weight: use the even-weight relation instead")
-    if n2 < 2:
-        raise ValueError("n2 >= 2 required for a convergent zeta")
     out = CzvCombination()
-    for k in range(3, w + 1):
+    for k in range(k_start, w + 1):
         if (w - k) % 2:
             continue
         s2 = w - k
@@ -364,31 +360,25 @@ def reduce_mzv_depth2(n1: int, n2: int) -> CzvCombination:
             out.add_term(make_term(0, 0, (_zeta_factor(k),)), coeff * Fraction(-1, 2))
         else:
             out.add_term(make_term(0, 0, (_zeta_factor(s2), _zeta_factor(k))), coeff)
-    out.add_term(make_term(0, 0, (_zeta_factor(w),)), Fraction(-1, 2))
+    out.add_term(make_term(0, 0, (_zeta_factor(w),)), last)
     return out
+
+
+def reduce_mzv_depth2(n1: int, n2: int) -> CzvCombination:
+    """zeta(n1, n2) for odd weight, n2 >= 2, as a zeta(2s) zeta(k) bilinear
+    combination minus zeta(w)/2."""
+    if (n1 + n2) % 2 == 0:
+        raise ValueError("even weight: use the even-weight relation instead")
+    if n2 < 2:
+        raise ValueError("n2 >= 2 required for a convergent zeta")
+    return _mzv_depth2_relation(n1, n2, 3, Fraction(-1, 2))
 
 
 def mzv_depth2_even_relation(n1: int, n2: int) -> CzvCombination:
     """The even-weight combination that vanishes identically."""
-    w = n1 + n2
-    if w % 2:
+    if (n1 + n2) % 2:
         raise ValueError("this relation is for even weight")
-    out = CzvCombination()
-    for k in range(2, w + 1):
-        if (w - k) % 2:
-            continue
-        s2 = w - k
-        coeff = Fraction((-1) ** n1) * (
-            binom(k - 1, n1 - 1) + binom(k - 1, n2 - 1) - (1 if k == n1 else 0)
-        )
-        if coeff == 0:
-            continue
-        if s2 == 0:
-            out.add_term(make_term(0, 0, (_zeta_factor(k),)), coeff * Fraction(-1, 2))
-        else:
-            out.add_term(make_term(0, 0, (_zeta_factor(s2), _zeta_factor(k))), coeff)
-    out.add_term(make_term(0, 0, (_zeta_factor(w),)), Fraction(1, 2))
-    return out
+    return _mzv_depth2_relation(n1, n2, 2, Fraction(1, 2))
 
 
 def _zeta2s_coeff(s2: int) -> tuple[Fraction, tuple[CzvFactor, ...]]:
@@ -482,10 +472,10 @@ def alt_depth2(n1: int, n2: int, s1: int, s2: int) -> CzvCombination:
         inner = li_symbol(k, z1, Fraction(binom(k - 1, n1 - 1))) + li_symbol(
             k, z2, Fraction(binom(k - 1, n2 - 1))
         )
-        out = out + lead.mul(inner)
-    out = out + li_symbol(w, z12, Fraction(-1, 2))
+        out += lead.mul(inner)
+    out += li_symbol(w, z12, Fraction(-1, 2))
     if n2 % 2 == 0:
-        out = out + li_symbol(n1, z1, Fraction(1)).mul(li_symbol(n2, z2, Fraction(1)))
+        out += li_symbol(n1, z1, Fraction(1)).mul(li_symbol(n2, z2, Fraction(1)))
     return out
 
 
@@ -662,11 +652,15 @@ def eval_czv_combination(c: CzvCombination, dps: int = 40):
     with mp.workdps(dps + 10):
         ipi = mp.pi * mp.mpc(0, 1)
         total = mp.mpc(0)
+        values: dict = {}  # each distinct factor is evaluated once
         for t, coeff in c.terms.items():
             v = mp.mpc(coeff.numerator) / coeff.denominator
             v *= mp.mpc(0, 1) ** t.ipow * ipi ** t.ipi
             for f in t.factors:
-                fv = eval_czv(f.indices, [r.phase() for r in f.roots])
+                key = (f.indices, tuple(r.phase() for r in f.roots))
+                fv = values.get(key)
+                if fv is None:
+                    fv = values[key] = eval_czv(*key)
                 if f.part == "re":
                     fv = mp.re(fv)
                 elif f.part == "im":

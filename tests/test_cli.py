@@ -165,6 +165,22 @@ def test_cache_version_invalidation(tmp_path):
     assert cache.load((1, 2), "compact") is None
 
 
+def test_cache_rejects_entry_of_another_index(tmp_path):
+    cache = EquationCache(tmp_path / "c")
+    compute_pli((1, 2), "compact", cache)
+    src = tmp_path / "c" / "pli_compact_1_2.json"
+    dst = tmp_path / "c" / "pli_compact_2_1.json"
+    src.rename(dst)
+    assert cache.load((2, 1), "compact") is None
+    result = compute_pli((2, 1), "compact", cache)
+    assert result.equation == ENGINE.pli_lincomb((2, 1))
+    assert json.loads(dst.read_text())["index"] == [2, 1]
+    # an entry under the other form's name is a miss too
+    compute_pli((1, 2), "compact", cache)
+    (tmp_path / "c" / "pli_compact_1_2.json").rename(tmp_path / "c" / "pli_canonical_1_2.json")
+    assert cache.load((1, 2), "canonical") is None
+
+
 def test_bernoulli_command(capsys):
     code, out = run_cli(capsys, "bernoulli", "12")
     assert code == 0 and out.strip() == "-691/2730"

@@ -8,6 +8,7 @@ from mplparity.oracle import (
     DomainError,
     EvalContext,
     HyperlogIntegrator,
+    _gauss_data,
     _ray_distance,
     ber_value,
     eval_czv,
@@ -120,6 +121,37 @@ def test_quadrature_error_estimate_scales():
         vhi = hi.word_value(letters)
         assert abs(vlo.value - vhi.value) <= vlo.err * 10 + 1e-20
         assert vhi.err < vlo.err
+
+
+@pytest.mark.parametrize("q", [8, 46])
+def test_gauss_data_integrates_polynomials(q):
+    prec = HyperlogIntegrator(30).prec
+    g = _gauss_data(q, prec)
+    one = 1 << prec
+    tol = 1 << 8  # 2^-(prec-8), in units of 2^-prec
+    assert abs(sum(g.weights) - 2 * one) <= tol
+    assert list(g.nodes) == sorted(g.nodes)
+    assert g.nodes == tuple(-x for x in reversed(g.nodes))
+    # CUM integrates every polynomial of degree < q exactly:
+    # sum_j CUM[i][j] x_j^k = (x_i^{k+1} - (-1)^{k+1}) / (k+1), in integers
+    for k in range(q):
+        powers = [x ** k for x in g.nodes]
+        scale = 1 << (prec * (k + 1))
+        for i in range(q):
+            lhs = (k + 1) * sum(c * p for c, p in zip(g.cum[i], powers))
+            rhs = g.nodes[i] ** (k + 1) - (-1) ** (k + 1) * scale
+            assert abs(lhs - rhs) * one <= tol * (k + 1) * scale, (k, i)
+
+
+def test_gauss_data_shared_per_order_and_precision():
+    a, b = HyperlogIntegrator(30), HyperlogIntegrator(30)
+    assert a._lo is b._lo and a._hi is b._hi and a is not b
+    assert a._lo is not a._hi
+    lo, hi = HyperlogIntegrator(25), HyperlogIntegrator(45)
+    assert lo._lo is not hi._lo and lo._hi is not hi._hi
+    # same order, other precision: its own entry
+    c, d = HyperlogIntegrator(15, order=8), HyperlogIntegrator(20, order=8)
+    assert c._lo.order == d._lo.order and c._lo is not d._lo
 
 
 def test_ber_value_examples():

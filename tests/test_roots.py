@@ -35,6 +35,32 @@ def zeta_term(*factors):
     return make_term(0, 0, tuple(CzvFactor(f, (ONE_ROOT,) * len(f)) for f in factors))
 
 
+def test_eval_czv_combination_evaluates_each_factor_once(monkeypatch):
+    from mplparity import oracle
+
+    calls = []
+    original = oracle.eval_czv
+
+    def counting(m, fracs, dps=None):
+        calls.append((tuple(m), tuple(fracs)))
+        return original(m, fracs, dps)
+
+    monkeypatch.setattr(oracle, "eval_czv", counting)
+    li2 = CzvFactor((2,), (MINUS_ONE,))
+    li3 = CzvFactor((3,), (IMAG_I,))
+    im3 = CzvFactor((3,), (IMAG_I,), "im")
+    combo = CzvCombination()
+    combo.add_term(make_term(0, 0, (li2,)), 2)
+    combo.add_term(make_term(0, 0, (li2, li3)), 1)
+    combo.add_term(make_term(0, 1, (im3,)), 1)
+    got = eval_czv_combination(combo, dps=30)
+    assert len(calls) == len(set(calls)) == 2
+    with mp.workdps(40):
+        a = mp.polylog(2, -1)
+        b = mp.polylog(3, mp.mpc(0, 1))
+        assert abs(got - (2 * a + a * b + mp.mpc(0, 1) * mp.im(b))) < 1e-25
+
+
 def test_root_arithmetic():
     r = RootOfUnity.make(6, 8)
     assert (r.k, r.N) == (3, 4)

@@ -114,6 +114,12 @@ def test_sparse_sum_invariants(kind):
         other = other_make()
         other.terms = dict(s.terms)
         assert (other == s) == (other_kind == kind)
+    # += adds into the left operand and agrees with +
+    t = make()
+    t.add_term(key, 2)
+    expected, before = s + t, s
+    s += t
+    assert s is before and s == expected and s.terms == {key: Fraction(3)}
     if kind == "LinComb":
         with pytest.raises(ValueError):
             s.add_term(ber_generator(2, 1, 2), 1)
