@@ -313,15 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "latex", "json"), default="text")
         if with_form:
             p.add_argument("--form", choices=("compact", "canonical"), default="compact")
+        p.add_argument("--cache", default=None, help=f"equation cache directory (or ${CACHE_ENV})")
+
+    def numeric(p):
         p.add_argument("--prec", type=int, default=50, help="working precision digits")
         p.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
         p.add_argument("--samples", type=int, default=5, help="verification sample points")
-        p.add_argument("--cache", default=None, help=f"equation cache directory (or ${CACHE_ENV})")
 
     p = sub.add_parser("feq", help="compute the functional equation for one index")
     p.add_argument("index", help="comma-separated index vector, n_1 first")
     p.add_argument("--verify", action="store_true", help="certify numerically")
     common(p)
+    numeric(p)
     p.set_defaults(func=cmd_feq)
 
     p = sub.add_parser("reduce", help="specialize an equation at roots of unity")
@@ -335,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify all equations up to a weight bound")
     p.add_argument("--max-weight", type=int, required=True)
     common(p, with_form=False)
+    numeric(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="emit all equations up to a weight bound")
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "prec", 50) < 30 and args.command in ("feq", "verify", "reduce"):
+    if getattr(args, "prec", 50) < 30:
         raise SystemExit("--prec must be at least 30")
     return args.func(args)
 

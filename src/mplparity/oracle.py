@@ -13,6 +13,11 @@ Three evaluators:
   * series evaluation of multiple polylogarithms at roots of unity with
     Abel-summed or asymptotically-fitted tails.
 
+Every truncated nested sum, of the series and of the partial sums at roots
+of unity, is read off one kernel, ``_prefix_levels``; the three
+root-of-unity tails double their truncation in one convergence loop,
+``_converge``.
+
 Error bounds are heuristic but conservative (geometric tail estimates,
 order-escalation differences for the quadrature, difference-decay
 estimates for Abel tails); they are reported alongside every value.
@@ -33,10 +38,13 @@ from mpmath.libmp import dps_to_prec, to_fixed
 
 from .rationals import bernoulli_polynomial
 from .terms import ConsProd, Generator, LiFactor, LinComb, LogExpansion
+from .words import li_to_word
 
 DEFAULT_DPS = 50
 GUARD_DIGITS = 10
 GUARD_BITS = 32  # fixed-point quadrature bits beyond the working precision
+_SAMPLE_MARGIN = 0.05  # least distance of a sampled tail product from [0, inf)
+_LI_MAX_TERMS = 400000  # longest truncation of the Li series
 
 
 class DomainError(ValueError):
@@ -52,11 +60,6 @@ class HPComplex(NamedTuple):
 
     value: mp.mpc
     err: float
-
-    def __add__(self, other):
-        if isinstance(other, HPComplex):
-            return HPComplex(self.value + other.value, self.err + other.err)
-        return HPComplex(self.value + other, self.err)
 
     def mul(self, other: "HPComplex") -> "HPComplex":
         v = self.value * other.value
@@ -87,9 +90,10 @@ class SamplePoint(NamedTuple):
         return len(self.z)
 
 
-def sample_domain_point(d: int, seed: int, margin: float = 0.05) -> SamplePoint:
+def sample_domain_point(d: int, seed: int) -> SamplePoint:
     """Deterministic pseudo-random point with every consecutive product
-    z_i...z_j at distance >= margin from [0, inf); moduli in [0.3, 0.9]."""
+    z_i...z_j at distance >= _SAMPLE_MARGIN from [0, inf); moduli in
+    [0.3, 0.9]."""
     rng = random.Random(f"mplparity:{d}:{seed}")
     for _ in range(2000):
         mods = [rng.uniform(0.3, 0.9) for _ in range(d)]
@@ -100,7 +104,7 @@ def sample_domain_point(d: int, seed: int, margin: float = 0.05) -> SamplePoint:
             prod = mp.mpc(1)
             for j in range(i, d):
                 prod = prod * zs[j]
-                if _ray_distance(prod) < margin:
+                if _ray_distance(prod) < _SAMPLE_MARGIN:
                     ok = False
                     break
             if not ok:
@@ -117,23 +121,31 @@ def sample_domain_point(d: int, seed: int, margin: float = 0.05) -> SamplePoint:
 def _prefix_levels(indices, values, M: int) -> list:
     """Nested prefix sums T_0 = 1, T_i(k) = sum_{0<j<k} v_i^j j^{-n_i} T_{i-1}(j)
     for i = 0..len(indices); level i is an array whose entry arr[k] holds
-    T_i(k+1), for k <= M."""
+    T_i(k+1), for k <= M, so the top level's arr[M] is the series of depth
+    len(indices) truncated after k = M.  This is the module's only nested
+    sum.  A level whose value is exactly 1 skips the powers of v: a product
+    with an exact 1 changes no bit."""
     prev = [mp.mpf(1)] * (M + 1)
     levels = [prev]
     for v, nn in zip(values, indices):
         cur = [mp.mpc(0)] * (M + 1)
         acc = mp.mpc(0)
-        pw = mp.mpc(1)
-        for k in range(1, M + 1):
-            pw = pw * v
-            acc = acc + pw * prev[k - 1] / (k ** nn)
-            cur[k] = acc
+        if v == 1:
+            for k in range(1, M + 1):
+                acc = acc + prev[k - 1] / (k ** nn)
+                cur[k] = acc
+        else:
+            pw = mp.mpc(1)
+            for k in range(1, M + 1):
+                pw = pw * v
+                acc = acc + pw * prev[k - 1] / (k ** nn)
+                cur[k] = acc
         prev = cur
         levels.append(prev)
     return levels
 
 
-def eval_li_series(indices, values, target: float = 1e-30, max_terms: int = 400000) -> HPComplex:
+def eval_li_series(indices, values, target: float = 1e-30) -> HPComplex:
     """Truncated nested series for Li_n(v), requiring every tail product
     |v_i ... v_d| < 1.  The tail estimate is geometric in the largest tail
     product modulus (heuristic beyond depth 2)."""
@@ -150,23 +162,16 @@ def eval_li_series(indices, values, target: float = 1e-30, max_terms: int = 4000
         raise DomainError(f"series needs all tail products < 1 (got {rho})")
     M = max(40, int(math.log(max(target, 1e-300) * (1 - rho) / 20.0) / math.log(rho)) + 4 * d + 10)
     while True:
-        M = min(M, max_terms)
-        prev = _prefix_levels(n[:-1], vals[:-1], M)[-1]
-        total = mp.mpc(0)
-        pw = mp.mpc(1)
-        v = vals[d - 1]
-        nn = n[d - 1]
-        last = mp.mpf(0)
-        for k in range(1, M + 1):
-            pw = pw * v
-            term = pw * prev[k - 1] / (k ** nn)
-            total = total + term
-            last = abs(term)
+        M = min(M, _LI_MAX_TERMS)
+        levels = _prefix_levels(n, vals, M)
+        # the last term, k = M, formed on its own: top[M] - top[M-1] would
+        # cancel against the partial sum once the term nears its last digit
+        last = abs(vals[-1] ** M * levels[-2][M - 1] / M ** n[-1])
         err = float(last) * rho / (1 - rho) * 10 + 1e-300
-        if err <= target or M >= max_terms:
+        if err <= target or M >= _LI_MAX_TERMS:
             if err > target:
                 raise PrecisionError(f"series truncation stuck at err {err}")
-            return HPComplex(total, err)
+            return HPComplex(levels[-1][M], err)
         M = int(M * 1.7) + 16
 
 
@@ -355,19 +360,8 @@ class HyperlogIntegrator:
 def li_word_letters(indices, base_values) -> list:
     """Letters of the word for (-1)^d Li_n(1/y):  w_0^{n_d-1} w_{y_d} ...
     w_0^{n_1-1} w_{y_{1,d}}, with y the base (non-inverted) values."""
-    n = tuple(indices)
-    ys = [mp.mpc(v) for v in base_values]
-    d = len(n)
-    cum = [mp.mpc(0)] * d
-    acc = mp.mpc(1)
-    for j in range(d - 1, -1, -1):
-        acc = acc * ys[j]
-        cum[j] = acc
-    letters = []
-    for j in range(d - 1, -1, -1):
-        letters.extend([mp.mpc(0)] * (n[j] - 1))
-        letters.append(cum[j])
-    return letters
+    word = li_to_word(indices, [mp.mpc(v) for v in base_values], mul)
+    return [mp.mpc(0) if letter.is_zero() else letter.arg for letter in word]
 
 
 def eval_li_inverse(indices, base_values, integrator: HyperlogIntegrator) -> HPComplex:
@@ -595,24 +589,39 @@ def _forward_diffs(vals: list, order: int) -> list:
     return [row[0] for row in out]
 
 
-def _prefix_arrays(m, fracs, M: int) -> list:
-    """The prefix-sum levels of Li_m at the roots exp(2 pi i * fracs)."""
-    return _prefix_levels(m[:-1], [root_value(f) for f in fracs[:-1]], M)
+def _converge(attempt, M: int, cap: int, tail: str, case: str) -> mp.mpc:
+    """The one convergence loop of the root-of-unity tails: double the
+    truncation M from its start until ``attempt(M) -> (value, err)`` meets
+    the target 10^-(dps-8), and raise PrecisionError once M has passed cap."""
+    target = 10.0 ** (-(mp.mp.dps - 8))
+    while True:
+        value, err = attempt(M)
+        if err <= target:
+            return value
+        if M > cap:
+            raise PrecisionError(f"{tail} tail stuck at {err} for {case}")
+        M *= 2
 
 
-def _abel_tail(cfun, K: int, y: mp.mpc, order: int = 8):
+_ABEL_ORDER = 8  # summations by parts in an Abel tail
+# prefix entries past the truncation M that an Abel tail's window reads
+# (k up to M + _ABEL_ORDER + 1), with two to spare
+_ABEL_REACH = _ABEL_ORDER + 2
+
+
+def _abel_tail(cfun, K: int, y: mp.mpc):
     """sum_{k > K} c_k y^k via repeated summation by parts; returns
     (value, err_estimate).  c must be smooth (non-oscillatory) in k."""
-    window = [cfun(K + 1 + t) for t in range(order + 1)]
-    diffs = _forward_diffs(window, order)
+    window = [cfun(K + 1 + t) for t in range(_ABEL_ORDER + 1)]
+    diffs = _forward_diffs(window, _ABEL_ORDER)
     ratio = y / (1 - y)
     pref = y ** (K + 1) / (1 - y)
     total = mp.mpc(0)
     rp = mp.mpc(1)
-    for r in range(order):
+    for r in range(_ABEL_ORDER):
         total += rp * pref * diffs[r]
         rp = rp * ratio
-    err = float(abs(rp) * abs(diffs[order]) * (K + 1) * 4)
+    err = float(abs(rp) * abs(diffs[_ABEL_ORDER]) * (K + 1) * 4)
     return total, err
 
 
@@ -620,6 +629,7 @@ def _abel_tail(cfun, K: int, y: mp.mpc, order: int = 8):
 
 _EM_TERMS = 8
 _EM_PMAX = 18
+_MOMENT_TERMS = 12  # moments Phi_u of the geometric tail series, u = 0.._MOMENT_TERMS
 
 
 def _series_add(dst: dict, p: int, q: int, c) -> None:
@@ -717,16 +727,16 @@ def _series_tail_sum(S: dict, m_last: int, M: int) -> mp.mpc:
     return total
 
 
-def _czv_em(m, fracs, M: int = 1600, target: float | None = None) -> mp.mpc:
+def _czv_em(m, fracs) -> mp.mpc:
     """All roots equal 1 (an MZV, m_d >= 2): partial sum plus a tail summed
     from the Euler-Maclaurin asymptotics of the inner prefix sums, with the
     integration constants pinned to the exact prefix data at k = M."""
-    if target is None:
-        target = 10.0 ** (-(mp.mp.dps - 8))
     m = tuple(m)
     d = len(m)
-    while True:
-        levels = _prefix_arrays(m, fracs, M)
+    ys = [root_value(f) for f in fracs]
+
+    def attempt(M: int):
+        levels = _prefix_levels(m, ys, M)
         S: dict = {(0, 0): mp.mpc(1)}
         err_acc = 0.0
         for i in range(1, d):
@@ -737,25 +747,20 @@ def _czv_em(m, fracs, M: int = 1600, target: float | None = None) -> mp.mpc:
             resid = abs(levels[i][M // 2 - 1] - _series_eval(S, M // 2))
             err_acc += float(resid)
         nlast = m[-1]
-        partial = mp.mpc(0)
-        for k in range(1, M + 1):
-            partial += levels[d - 1][k - 1] / mp.mpf(k) ** nlast
         tail = _series_tail_sum(S, nlast, M)
         err = err_acc * float(abs(mp.zeta(nlast, M + 1))) * 4
-        if err <= target or M > 40000:
-            if err > target:
-                raise PrecisionError(f"EM tail stuck at {err} for {m}")
-            return partial + tail
-        M *= 2
+        return levels[d][M] + tail, err
+
+    return _converge(attempt, 1600, 40000, "EM", f"{m}")
 
 
-def _geometric_moment_series(m1: int, y: mp.mpc, terms: int = 12) -> dict:
+def _geometric_moment_series(m1: int, y: mp.mpc) -> dict:
     """Asymptotics of sigma(k) = sum_{t>=0} y^t (k+t)^{-m1} for |y| = 1,
     y != 1:  sum_u C(-m1, u) Phi_u(y) k^{-m1-u} with Phi_u = sum t^u y^t."""
     from .rationals import signed_binomial
 
     S: dict = {}
-    for u in range(terms + 1):
+    for u in range(_MOMENT_TERMS + 1):
         if u == 0:
             phi = 1 / (1 - y)
         else:
@@ -765,30 +770,22 @@ def _geometric_moment_series(m1: int, y: mp.mpc, terms: int = 12) -> dict:
     return S
 
 
-def _czv_abel(m, fracs, M: int = 1500, target: float | None = None) -> mp.mpc:
+def _czv_abel(m, fracs) -> mp.mpc:
     """Trailing root != 1, inner roots all 1: partial sum + Abel tail."""
-    if target is None:
-        target = 10.0 ** (-(mp.mp.dps - 8))
     m = tuple(m)
-    y = root_value(fracs[-1])
-    order = 8
-    while True:
-        T = _prefix_arrays(m, fracs, M + order + 2)[-1]
-        nlast = m[-1]
-        partial = mp.mpc(0)
-        pw = mp.mpc(1)
-        for k in range(1, M + 1):
-            pw = pw * y
-            partial += pw * T[k - 1] / (k ** nlast)
-        tail, err = _abel_tail(lambda k: T[k - 1] / mp.mpf(k) ** nlast, M, y, order)
-        if err <= target or M > 60000:
-            if err > target:
-                raise PrecisionError(f"Abel tail stuck at {err} for {m} at {fracs}")
-            return partial + tail
-        M *= 2
+    ys = [root_value(f) for f in fracs]
+    nlast = m[-1]
+
+    def attempt(M: int):
+        levels = _prefix_levels(m, ys, M + _ABEL_REACH)
+        T = levels[-2]
+        tail, err = _abel_tail(lambda k: T[k - 1] / mp.mpf(k) ** nlast, M, ys[-1])
+        return levels[-1][M] + tail, err
+
+    return _converge(attempt, 1500, 60000, "Abel", f"{m} at {fracs}")
 
 
-def _czv_peel2(m, fracs, M: int = 1500, target: float | None = None) -> mp.mpc:
+def _czv_peel2(m, fracs) -> mp.mpc:
     """Depth 2 with an oscillatory inner root: peel the inner tail.
 
     With rho(k) = T1(inf) - T1(k) = y1^k sigma(k) and sigma smooth,
@@ -800,33 +797,24 @@ def _czv_peel2(m, fracs, M: int = 1500, target: float | None = None) -> mp.mpc:
     where the first piece is closed (polylog / Hurwitz zeta) and the second
     is Abel-summable in the combined ratio y1*y2 (or fitted when that is 1).
     """
-    if target is None:
-        target = 10.0 ** (-(mp.mp.dps - 8))
     m1, m2 = m
     f1, f2 = fracs
     y1 = root_value(f1)
     y1inv = 1 / y1
     y2 = root_value(f2)
     t1_inf = _polylog_at_root(m1, f1)
-    order = 8
-    while True:
-        T = _prefix_arrays(m, fracs, M + order + 2)[-1]
-        partial = mp.mpc(0)
-        head_partial = mp.mpc(0)
-        pw = mp.mpc(1)
-        for k in range(1, M + 1):
-            pw = pw * y2
-            partial += pw * T[k - 1] / (k ** m2)
-            head_partial += pw / mp.mpf(k) ** m2
+
+    def attempt(M: int):
+        levels = _prefix_levels(m, (y1, y2), M + _ABEL_REACH)
+        T = levels[1]
         if f2 == 0:
             head_tail = mp.zeta(m2, M + 1) + mp.mpc(0)
         else:
-            head_tail = mp.polylog(m2, y2) - head_partial
+            head_tail = mp.polylog(m2, y2) - _prefix_levels((m2,), (y2,), M)[1][M]
 
         def sigma(k: int) -> mp.mpc:
             return (t1_inf - T[k - 1]) * y1inv ** k
 
-        ratio = y1 * y2
         # y1*y2 = 1 exactly when the phases sum to an integer; deciding it
         # on the exact phases keeps the branch independent of the precision
         if (f1 + f2) % 1 == 0:
@@ -838,13 +826,10 @@ def _czv_peel2(m, fracs, M: int = 1500, target: float | None = None) -> mp.mpc:
             # residual decays at least like the series' leading power
             err = float(resid * mp.mpf(M) ** m1 * abs(mp.zeta(m2 + m1, M + 1))) * 4
         else:
-            rem, err = _abel_tail(lambda k: sigma(k) / mp.mpf(k) ** m2, M, ratio, order)
-        value = partial + t1_inf * head_tail - rem
-        if err <= target or M > 60000:
-            if err > target:
-                raise PrecisionError(f"peel tail stuck at {err} for {m} at {fracs}")
-            return value
-        M *= 2
+            rem, err = _abel_tail(lambda k: sigma(k) / mp.mpf(k) ** m2, M, y1 * y2)
+        return levels[2][M] + t1_inf * head_tail - rem, err
+
+    return _converge(attempt, 1500, 60000, "peel", f"{m} at {fracs}")
 
 
 def eval_czv(m, fracs, dps: int | None = None) -> mp.mpc:

@@ -20,7 +20,7 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 from .rationals import SparseSum, bernoulli_polynomial, binom, signed_binomial
-from .terms import ConsProd, Generator, LiFactor, LinComb
+from .terms import ConsProd, Generator, LiFactor, LinComb, signed_sum_text
 from . import words
 
 
@@ -162,10 +162,6 @@ def ber_at_root(k: int, zeta: RootOfUnity) -> tuple[Fraction, int]:
 # regularized limits (trailing argument -> 1)
 
 
-def _root_mul(a: RootOfUnity, b: RootOfUnity) -> RootOfUnity:
-    return a.mul(b)
-
-
 def _root_div(a: RootOfUnity, b: RootOfUnity) -> RootOfUnity:
     return a.mul(b.inv())
 
@@ -182,7 +178,7 @@ def regularized_limit_factor(m, roots) -> CzvCombination:
         return CzvCombination.constant(1)
     if not (m[-1] == 1 and roots[-1].is_one()):
         return CzvCombination.symbol(m, roots)
-    word = words.li_to_word(m, [r.inv() for r in roots], _root_mul, lambda r: r.inv())
+    word = words.li_to_word(m, [r.inv() for r in roots], RootOfUnity.mul)
     one_letter = words.sigma(ONE_ROOT)
     r = 0
     while r < len(word) and word[r] == one_letter:
@@ -196,7 +192,7 @@ def regularized_limit_factor(m, roots) -> CzvCombination:
         headed.add_term((tau,) + w, c)
     out = CzvCombination()
     for w, c in headed.terms.items():
-        indices, letter_args = words.word_to_li(w, _root_div, lambda r: r.inv())
+        indices, letter_args = words.word_to_li(w, _root_div)
         final_roots = tuple(a.inv() for a in letter_args)
         if indices[-1] == 1 and final_roots[-1].is_one():
             raise DivergentHeadError("regularization produced a divergent symbol")
@@ -270,7 +266,7 @@ def _even_zeta_ipi(k: int) -> Fraction:
     return Fraction(-(2 ** k), 2 * fact) * bernoulli_number(k)
 
 
-def normalize_czv(c: CzvCombination, fold_even: bool = True) -> CzvCombination:
+def normalize_czv(c: CzvCombination) -> CzvCombination:
     """Canonical form: Li at -1 rewritten through zeta values where exact
     (Li_k(-1) = -(1-2^{1-k}) zeta(k), k >= 2), and even zeta values folded
     into (i*pi)-powers so depth-0 parts compare exactly."""
@@ -287,7 +283,7 @@ def normalize_czv(c: CzvCombination, fold_even: bool = True) -> CzvCombination:
             if root == MINUS_ONE and k >= 2:
                 coeff = coeff * (-(1 - Fraction(2) ** (1 - k)))
                 root = ONE_ROOT
-            if root == ONE_ROOT and k >= 2 and k % 2 == 0 and fold_even:
+            if root == ONE_ROOT and k >= 2 and k % 2 == 0:
                 coeff = coeff * _even_zeta_ipi(k)
                 ipi += k
             else:
@@ -584,9 +580,7 @@ def _factor_text(f: CzvFactor) -> str:
 
 
 def czv_to_text(c: CzvCombination) -> str:
-    if c.is_zero():
-        return "0"
-    bits = []
+    rows = []
     for t, coeff in c.sorted_items():
         factors = []
         if t.ipow % 4:
@@ -594,13 +588,8 @@ def czv_to_text(c: CzvCombination) -> str:
         if t.ipi:
             factors.append(f"(i*pi)^{t.ipi}" if t.ipi > 1 else "(i*pi)")
         factors.extend(_factor_text(f) for f in t.factors)
-        if not factors:
-            factors = ["1"]
-        mag = abs(coeff)
-        coeff_s = "" if mag == 1 else f"{mag}*"
-        bits.append(("- " if coeff < 0 else "+ ") + coeff_s + "*".join(factors))
-    text = " ".join(bits)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        rows.append((coeff, factors))
+    return signed_sum_text(rows)
 
 
 def _root_latex(r: RootOfUnity) -> str:
@@ -609,9 +598,7 @@ def _root_latex(r: RootOfUnity) -> str:
 
 
 def czv_to_latex(c: CzvCombination) -> str:
-    if c.is_zero():
-        return "0"
-    bits = []
+    rows = []
     for t, coeff in c.sorted_items():
         factors = []
         if t.ipow % 4:
@@ -626,18 +613,8 @@ def czv_to_latex(c: CzvCombination) -> str:
                 args = ", ".join(_root_latex(r) for r in f.roots)
                 op = {"re": "\\operatorname{Re}\\,", "im": "\\operatorname{Im}\\,"}.get(f.part, "")
                 factors.append(f"{op}\\operatorname{{Li}}_{{{idx}}}({args})")
-        if not factors:
-            factors = ["1"]
-        mag = abs(coeff)
-        if mag == 1:
-            coeff_s = ""
-        elif mag.denominator == 1:
-            coeff_s = str(mag)
-        else:
-            coeff_s = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
-        bits.append(("-" if coeff < 0 else "+") + coeff_s + " ".join(factors))
-    text = " ".join(bits)
-    return text[1:] if text.startswith("+") else text
+        rows.append((coeff, factors))
+    return signed_sum_text(rows, latex=True)
 
 
 # ---------------------------------------------------------------------------

@@ -354,24 +354,41 @@ def lincomb_from_dict(data: dict) -> LinComb:
     return out
 
 
-def lincomb_to_text(lc: LinComb) -> str:
-    if lc.is_zero():
-        return "0"
+def signed_sum_text(rows, latex: bool = False) -> str:
+    """Render (coefficient, factor strings) rows as a signed sum: "0" when
+    there are none, "1" for a row without factors, the first sign only
+    when negative.  Plain text writes "c*f*g" and " - "; LaTeX writes
+    "c f g" with integer or \\tfrac coefficients and " -"."""
     bits = []
+    for c, factors in rows:
+        mag = abs(c)
+        if mag == 1:
+            coeff = ""
+        elif not latex:
+            coeff = f"{mag}*"
+        elif mag.denominator == 1:
+            coeff = str(mag)
+        else:
+            coeff = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
+        sign = "-" if c < 0 else "+"
+        if bits:
+            bits.append(f" {sign}" if latex else f" {sign} ")
+        elif c < 0:
+            bits.append(sign)
+        bits.append(coeff + (" " if latex else "*").join(factors or ["1"]))
+    return "".join(bits) or "0"
+
+
+def lincomb_to_text(lc: LinComb) -> str:
+    rows = []
     for g, c in lc.sorted_items():
         factors = [f"ber_{k}(" + ConsProd(s, g.ambient).text() + ")" for s, k in g.bers]
         for f in g.lis:
             idx = ",".join(map(str, f.indices))
             args = ", ".join(a.text() for a in f.args)
             factors.append(f"Li_{{{idx}}}({args})")
-        if not factors:
-            factors = ["1"]
-        mag = abs(c)
-        coeff = "" if mag == 1 else f"{mag}*"
-        term = coeff + "*".join(factors)
-        bits.append(("- " if c < 0 else "+ ") + term)
-    text = " ".join(bits)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        rows.append((c, factors))
+    return signed_sum_text(rows)
 
 
 def _span_latex(a: ConsProd) -> str:
@@ -384,9 +401,7 @@ def _span_latex(a: ConsProd) -> str:
 
 
 def lincomb_to_latex(lc: LinComb) -> str:
-    if lc.is_zero():
-        return "0"
-    bits = []
+    rows = []
     for g, c in lc.sorted_items():
         factors = [
             f"\\operatorname{{ber}}_{{{k}}}\\!\\left({_span_latex(ConsProd(s, g.ambient))}\\right)"
@@ -396,12 +411,5 @@ def lincomb_to_latex(lc: LinComb) -> str:
             idx = ",".join(map(str, f.indices))
             args = ", ".join(_span_latex(a) for a in f.args)
             factors.append(f"\\operatorname{{Li}}_{{{idx}}}\\!\\left({args}\\right)")
-        if not factors:
-            factors = ["1"]
-        mag = abs(c)
-        coeff = "" if mag == 1 else (
-            f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}" if mag.denominator != 1 else str(mag)
-        )
-        bits.append(("-" if c < 0 else "+") + coeff + " ".join(factors))
-    text = " ".join(bits)
-    return text[1:] if text.startswith("+") else text
+        rows.append((c, factors))
+    return signed_sum_text(rows, latex=True)

@@ -144,13 +144,12 @@ def shuffle_reg_rewrite_reversed(sigmas: Iterable[Letter], tau: Letter, w: Word)
     return out
 
 
-def li_to_word(indices, args, mul: Callable, inv: Callable) -> Word:
+def li_to_word(indices, args, mul: Callable) -> Word:
     """Word for (-1)^d Li_n(1/y) = int w_0^{n_d-1} w_{y_d} ... w_0^{n_1-1} w_{y_{1,d}}.
 
     ``args`` are the base arguments y_1..y_d (not yet inverted); the letters
-    carry the cumulative products y_j...y_d.  ``mul``/``inv`` implement the
-    argument algebra (``inv`` is applied by callers that want reciprocal
-    letters; here letters are the plain cumulative products).
+    carry the cumulative products y_j...y_d, formed by ``mul(a, b)``, the
+    product of the argument algebra.
     """
     n = tuple(indices)
     ys = tuple(args)
@@ -171,10 +170,10 @@ def li_to_word(indices, args, mul: Callable, inv: Callable) -> Word:
     return tuple(word)
 
 
-def word_to_li(w: Word, div: Callable, inv: Callable):
+def word_to_li(w: Word, div: Callable):
     """Inverse translation: returns (indices, args) with letters read back as
-    cumulative products.  ``div(a, b)`` is a/b and ``inv(a)`` is 1/a in the
-    argument algebra.  Raises TranslationError if the word ends in w_0.
+    cumulative products.  ``div(a, b)`` is a/b in the argument algebra.
+    Raises TranslationError if the word ends in w_0.
     """
     w = tuple(w)
     if not w:

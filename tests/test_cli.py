@@ -7,6 +7,7 @@ import pytest
 from mplparity.cli import (
     EquationCache,
     all_indices,
+    build_parser,
     compute_pli,
     main,
     parse_index,
@@ -78,6 +79,22 @@ def test_reduce_rejects_divergent_head(capsys):
         run_cli(capsys, "reduce", "1,1", "--roots", "0/1,0/x")
     code = main(["reduce", "1,1", "--roots", "0/1,0/1"])
     assert code == 2
+
+
+def test_numeric_options_only_on_numeric_commands(capsys):
+    # table and reduce compute exactly: precision, tolerance and sample
+    # count are usage errors there
+    for argv in (["table", "--max-weight", "2", "--prec", "30"],
+                 ["reduce", "1,2", "--roots", "0/1,1/2", "--samples", "3"],
+                 ["reduce", "1,2", "--roots", "0/1,1/2", "--prec", "29"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+    numeric = ["--prec", "30", "--tol", "1e-9", "--samples", "3"]
+    for argv in (["feq", "1,2", "--verify"], ["verify", "--max-weight", "2"]):
+        args = build_parser().parse_args(argv + numeric)
+        assert (args.prec, args.tol, args.samples) == (30, 1e-9, 3)
 
 
 def test_verify_command_small(capsys):

@@ -8,7 +8,10 @@ from mplparity.oracle import (
     DomainError,
     EvalContext,
     HyperlogIntegrator,
+    PrecisionError,
+    _converge,
     _gauss_data,
+    _prefix_levels,
     _ray_distance,
     ber_value,
     eval_czv,
@@ -305,3 +308,88 @@ def test_czv_rejects_unsupported_pattern():
     with mp.workdps(30):
         with pytest.raises((PrecisionError, DomainError)):
             eval_czv((2, 2, 2), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)))
+
+
+def _gauss_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+@pytest.mark.parametrize("units", [((1, 0), (1, 0), (1, 0)),
+                                   ((-1, 0), (1, 0), (-1, 0)),
+                                   ((0, 1), (1, 0), (0, -1))])
+def test_prefix_levels_match_exact_nested_sums(units):
+    # values at 1 take the kernel's power-free branch, the others the
+    # general one; the reference sums the same series in Gaussian rationals
+    indices, M = (2, 1, 3), 30
+    with mp.workdps(50):
+        got = _prefix_levels(indices, [mp.mpc(*u) for u in units], M)
+        prev = [(Fraction(1), Fraction(0))] * (M + 1)
+        exact = [prev]
+        for u, n in zip(units, indices):
+            cur = [(Fraction(0), Fraction(0))]
+            pw = (1, 0)
+            for k in range(1, M + 1):
+                pw = _gauss_mul(pw, u)
+                term = _gauss_mul(pw, prev[k - 1])
+                cur.append((cur[-1][0] + term[0] / k ** n, cur[-1][1] + term[1] / k ** n))
+            prev = cur
+            exact.append(prev)
+        assert len(got) == len(exact) == 4
+        for level, ref in zip(got, exact):
+            assert len(level) == M + 1
+            for v, (re, im) in zip(level, ref):
+                want = mp.mpc(mp.mpf(re.numerator) / re.denominator,
+                              mp.mpf(im.numerator) / im.denominator)
+                assert abs(v - want) < 1e-45
+
+
+def test_converge_returns_first_value_meeting_target():
+    seen = []
+
+    def attempt(M):
+        seen.append(M)
+        # the target at 20 digits is 10^-(20-8) = 1e-12; met exactly at M = 400
+        return f"value at {M}", (1e-10 if M < 400 else 1e-12)
+
+    with mp.workdps(20):
+        assert _converge(attempt, 100, 1000, "test", "case") == "value at 400"
+    assert seen == [100, 200, 400]
+
+
+def test_converge_raises_once_past_cap():
+    seen = []
+
+    def attempt(M):
+        seen.append(M)
+        return None, 1.0
+
+    with mp.workdps(20):
+        with pytest.raises(PrecisionError, match="test tail stuck at 1.0 for case"):
+            _converge(attempt, 100, 1000, "test", "case")
+    assert seen == [100, 200, 400, 800, 1600]
+
+
+# eval_czv at 40 digits, one case per tail path; the tails aim at 1e-32, and
+# a truncation off by one term would move these by about 1e-7
+CZV_PINS = [
+    ((2,), (Fraction(1, 3),),  # closed
+     "-0.548311355616075478824138388882008396", "0.676627737606435750014135036183013524"),
+    ((2, 3), (Fraction(0), Fraction(0)),  # Euler-Maclaurin, depth 2
+     "0.228810397603353759768746148941688792", "0"),
+    ((3, 1, 2), (Fraction(0),) * 3,  # Euler-Maclaurin, depth 3
+     "0.618349560571269307895639260851864898", "0"),
+    ((1, 2), (Fraction(0), Fraction(1, 2)),  # Abel
+     "0.150257112894949285674967270188931249", "0"),
+    ((2, 1), (Fraction(1, 4), Fraction(1, 2)),  # peel2, Abel branch
+     "0.0429355716199821101491674302729981196", "0.293952216294143488249959236666718141"),
+    ((1, 2), (Fraction(1, 2), Fraction(1, 2)),  # peel2, y1*y2 = 1 branch
+     "-0.243070351670061577562704723967582217", "0"),
+]
+
+
+@pytest.mark.parametrize("m,fracs,re,im", CZV_PINS,
+                         ids=["closed", "em2", "em3", "abel", "peel2_abel", "peel2_unit"])
+def test_czv_tail_paths_pinned(m, fracs, re, im):
+    with mp.workdps(40):
+        got = eval_czv(m, fracs)
+        assert abs(got - mp.mpc(re, im)) < 1e-30
