@@ -1,26 +1,21 @@
 """High-precision numerical certification of the symbolic identities.
 
-Three evaluators:
+Two methods, both in fixed point (Python integers scaled by 2^prec, prec =
+working precision + GUARD_DIGITS digits + GUARD_BITS bits), with only the
+result converted to mpmath:
 
-  * nested truncated series for Li at points whose tail products have
-    modulus < 1 (with a geometric tail estimate),
+  * nested truncated series, for Li at points whose tail products have
+    modulus < 1 and for multiple polylogarithms at roots of unity, split by
+    Hoelder convolution into two families of such series (``eval_czv``).
+    Every nested sum is read off one kernel, ``_prefix_levels``, and its
+    truncation is fixed in advance from a geometric bound (``_truncation``);
   * iterated-integral (hyperlogarithm) quadrature for Li at inverted
     arguments, via panelized Gauss-Legendre spectral integration of the
-    nested primitives F_k(t) = int_0^t F_{k-1}(s) ds/(s - sigma_k); the
-    Gauss data and the sweeps run in fixed point (Python integers scaled
-    by 2^prec, prec = working precision + GUARD_BITS), and only the result
-    is converted to mpmath,
-  * series evaluation of multiple polylogarithms at roots of unity with
-    Abel-summed or asymptotically-fitted tails.
+    nested primitives F_k(t) = int_0^t F_{k-1}(s) ds/(s - sigma_k).
 
-Every truncated nested sum, of the series and of the partial sums at roots
-of unity, is read off one kernel, ``_prefix_levels``; the three
-root-of-unity tails double their truncation in one convergence loop,
-``_converge``.
-
-Error bounds are heuristic but conservative (geometric tail estimates,
-order-escalation differences for the quadrature, difference-decay
-estimates for Abel tails); they are reported alongside every value.
+Error bounds are heuristic but conservative (a geometric tail estimate for
+the series, order-escalation differences for the quadrature); they are
+reported alongside every value.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from .words import li_to_word
 
 DEFAULT_DPS = 50
 GUARD_DIGITS = 10
-GUARD_BITS = 32  # fixed-point quadrature bits beyond the working precision
+GUARD_BITS = 32  # fixed-point bits beyond the working precision
 _SAMPLE_MARGIN = 0.05  # least distance of a sampled tail product from [0, inf)
 _LI_MAX_TERMS = 400000  # longest truncation of the Li series
 
@@ -118,61 +113,111 @@ def sample_domain_point(d: int, seed: int) -> SamplePoint:
 # series evaluator
 
 
-def _prefix_levels(indices, values, M: int) -> list:
-    """Nested prefix sums T_0 = 1, T_i(k) = sum_{0<j<k} v_i^j j^{-n_i} T_{i-1}(j)
-    for i = 0..len(indices); level i is an array whose entry arr[k] holds
-    T_i(k+1), for k <= M, so the top level's arr[M] is the series of depth
-    len(indices) truncated after k = M.  This is the module's only nested
-    sum.  A level whose value is exactly 1 skips the powers of v: a product
-    with an exact 1 changes no bit."""
-    prev = [mp.mpf(1)] * (M + 1)
-    levels = [prev]
-    for v, nn in zip(values, indices):
-        cur = [mp.mpc(0)] * (M + 1)
-        acc = mp.mpc(0)
-        if v == 1:
-            for k in range(1, M + 1):
-                acc = acc + prev[k - 1] / (k ** nn)
-                cur[k] = acc
-        else:
-            pw = mp.mpc(1)
-            for k in range(1, M + 1):
-                pw = pw * v
-                acc = acc + pw * prev[k - 1] / (k ** nn)
-                cur[k] = acc
-        prev = cur
-        levels.append(prev)
-    return levels
+def _fixed_prec(dps: int) -> int:
+    """Bits of the fixed-point arithmetic for working precision dps."""
+    return dps_to_prec(dps + GUARD_DIGITS) + GUARD_BITS
+
+
+def _to_fixed(x: mp.mpf, prec: int) -> int:
+    return to_fixed(x._mpf_, prec)
+
+
+def _fixed(z, prec: int) -> tuple[int, int]:
+    z = mp.mpc(z)
+    return _to_fixed(z.real, prec), _to_fixed(z.imag, prec)
+
+
+def _from_fixed(re: int, im: int, prec: int) -> mp.mpc:
+    return mp.mpc(mp.mpf((re, -prec)), mp.mpf((im, -prec)))
+
+
+def _truncation(rate: float, n: int, prec: int) -> int:
+    """Least M with rate^M (1 + ln M)^n / (1 - rate) < 2^-(prec-16).  The
+    terms past M of a nested sum of weight n whose tail products have
+    modulus <= rate add up to less than that."""
+    lr = -math.log(rate)
+    need = (prec - 16) * math.log(2) - math.log(1 - rate)
+    M = 1
+    while M * lr < need + n * math.log(1 + math.log(M)):
+        M = math.ceil((need + n * math.log(1 + math.log(M))) / lr)
+    return M
+
+
+def _prefix_levels(ys, ms, M: int, prec: int):
+    """Level arrays of the nested sum
+
+        sum_{N_1 > ... > N_k > 0} prod_i y_i^{N_i - N_{i+1}} / N_i^{m_i}   (N_{k+1} = 0)
+
+    truncated at N_1 <= M, for tail products y_i with |y_i| < 1; ys and ms
+    are listed outermost first, and ys are (re, im) integers scaled by
+    2^prec.  This is the module's only nested sum.
+
+    Yields one array pair (re, im) per level, innermost first.  Entry N of
+    level i (1 <= N <= M) is the inner sum carried to N,
+
+        A_i(N) = sum_{N > N_{i+1} > ... > N_k > 0} y_i^{N - N_{i+1}} prod_{j>i} y_j^{N_j - N_{j+1}} / N_j^{m_j},
+
+    which stays below (1 + ln N)^{k-i} in modulus; the level's series with
+    index m at level i is sum_N A_i(N) / N^m.  The levels come from
+    A_k(N) = y_k^N and A_i(N+1) = y_i (A_i(N) + A_{i+1}(N) / N^{m_{i+1}}),
+    computed in place: one array is alive, so read each level before
+    advancing the generator."""
+    yr, yi = ys[-1]
+    ar, ai = [0] * (M + 1), [0] * (M + 1)
+    cr, ci = 1 << prec, 0
+    for N in range(1, M + 1):
+        cr, ci = (cr * yr - ci * yi) >> prec, (cr * yi + ci * yr) >> prec
+        ar[N], ai[N] = cr, ci
+    yield ar, ai
+    for (yr, yi), m in zip(ys[-2::-1], ms[:0:-1]):
+        cr = ci = 0
+        for N in range(1, M + 1):
+            q = N ** m
+            tr, ti = cr + ar[N] // q, ci + ai[N] // q
+            ar[N], ai[N] = cr, ci
+            cr, ci = (tr * yr - ti * yi) >> prec, (tr * yi + ti * yr) >> prec
+        yield ar, ai
+
+
+def _power_sums(ar, ai, m: int) -> list:
+    """[(sum_N A(N) / N^j) for j = 1..m] of one level array, in fixed point."""
+    sums = [[0, 0] for _ in range(m)]
+    for N in range(1, len(ar)):
+        r, i = ar[N], ai[N]
+        for s in sums:
+            r //= N
+            i //= N
+            s[0] += r
+            s[1] += i
+    return [tuple(s) for s in sums]
 
 
 def eval_li_series(indices, values, target: float = 1e-30) -> HPComplex:
     """Truncated nested series for Li_n(v), requiring every tail product
-    |v_i ... v_d| < 1.  The tail estimate is geometric in the largest tail
-    product modulus (heuristic beyond depth 2)."""
+    |v_i ... v_d| < 1.  The truncation is fixed in advance from the largest
+    tail product modulus rho (``_truncation``); the reported error is a
+    geometric tail estimate from the last term."""
     n = tuple(indices)
-    vals = [mp.mpc(v) for v in values]
-    d = len(n)
-    rho = 0.0
-    for i in range(d):
-        m = 1.0
-        for j in range(i, d):
-            m *= float(abs(vals[j]))
-        rho = max(rho, m)
+    prec = _fixed_prec(mp.mp.dps)
+    tails = []  # v_d, v_{d-1} v_d, ..., v_1 ... v_d: outermost first
+    with mp.workprec(prec):
+        acc = mp.mpc(1)
+        for v in reversed(values):
+            acc = acc * v
+            tails.append(acc)
+    rho = max(float(abs(t)) for t in tails)
     if rho >= 1.0:
         raise DomainError(f"series needs all tail products < 1 (got {rho})")
-    M = max(40, int(math.log(max(target, 1e-300) * (1 - rho) / 20.0) / math.log(rho)) + 4 * d + 10)
-    while True:
-        M = min(M, _LI_MAX_TERMS)
-        levels = _prefix_levels(n, vals, M)
-        # the last term, k = M, formed on its own: top[M] - top[M-1] would
-        # cancel against the partial sum once the term nears its last digit
-        last = abs(vals[-1] ** M * levels[-2][M - 1] / M ** n[-1])
-        err = float(last) * rho / (1 - rho) * 10 + 1e-300
-        if err <= target or M >= _LI_MAX_TERMS:
-            if err > target:
-                raise PrecisionError(f"series truncation stuck at err {err}")
-            return HPComplex(levels[-1][M], err)
-        M = int(M * 1.7) + 16
+    M = _truncation(rho, sum(n), prec)
+    if M > _LI_MAX_TERMS:
+        raise PrecisionError(f"series truncation would need {M} terms")
+    *_, (ar, ai) = _prefix_levels([_fixed(t, prec) for t in tails], n[::-1], M, prec)
+    value = _from_fixed(*_power_sums(ar, ai, n[-1])[-1], prec)
+    last = abs(_from_fixed(ar[M], ai[M], prec)) / mp.mpf(M) ** n[-1]
+    err = float(last) * rho / (1 - rho) * 10 + 1e-300
+    if err > target:
+        raise PrecisionError(f"series tail estimate {err} above target {target}")
+    return HPComplex(value, err)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +297,6 @@ def _gauss_data(order: int, prec: int) -> _GaussData:
     return _GaussData(q, prec, nodes, weights, tuple(tuple(row) for row in cum))
 
 
-def _to_fixed(x: mp.mpf, prec: int) -> int:
-    return to_fixed(x._mpf_, prec)
-
-
 class HyperlogIntegrator:
     """Panelized evaluation of iterated integrals int_0^1 w_{s_1}...w_{s_r}
     (letters left to right, rightmost letter integrated innermost).
@@ -270,7 +311,7 @@ class HyperlogIntegrator:
     def __init__(self, dps: int, order: int | None = None) -> None:
         self.dps = dps
         self.order = order if order is not None else dps + 16
-        self.prec = dps_to_prec(dps + GUARD_DIGITS) + GUARD_BITS
+        self.prec = _fixed_prec(dps)
         self._lo = _gauss_data(self.order, self.prec)
         self._hi = _gauss_data(self.order + 10, self.prec)
 
@@ -344,14 +385,14 @@ class HyperlogIntegrator:
                 left_r += ir[q]
                 left_i += ii[q]
             fvals = new
-        return mp.mpc(mp.mpf((left_r, -prec)), mp.mpf((left_i, -prec)))
+        return _from_fixed(left_r, left_i, prec)
 
     def word_value(self, letters) -> HPComplex:
         letters = [mp.mpc(s) for s in letters]
         prec = self.prec
         with mp.workdps(self.dps + GUARD_DIGITS):
             panels = [(_to_fixed(a, prec), _to_fixed(b, prec)) for a, b in self._panels(letters)]
-            fixed = [(_to_fixed(s.real, prec), _to_fixed(s.imag, prec)) for s in letters]
+            fixed = [_fixed(s, prec) for s in letters]
             lo = self._sweep(fixed, panels, self._lo)
             hi = self._sweep(fixed, panels, self._hi)
             return HPComplex(hi, float(abs(hi - lo)) + 10.0 ** (-min(self.dps + 2, 300)))
@@ -569,288 +610,74 @@ def root_value(frac: Fraction) -> mp.mpc:
     return mp.e ** (2 * mp.pi * mp.mpc(0, 1) * mp.mpf(frac.numerator) / frac.denominator)
 
 
-def _polylog_at_root(m: int, frac: Fraction) -> mp.mpc:
-    if frac == 0:
-        if m < 2:
-            raise DomainError("divergent zeta(1)")
-        return mp.zeta(m) + mp.mpc(0)
-    try:
-        return mp.polylog(m, root_value(frac))
-    except Exception:
-        return _czv_abel((m,), (frac,))
+def _suffix_values(word, z, M: int, prec: int) -> list:
+    """G(u; z) for every suffix u of ``word``, indexed by the length of u
+    (0..n), in fixed point.  Letters are listed outermost first, None for the
+    zero letter, and the innermost letter is not zero.  A word
+    0^{m_1-1} b_1 ... 0^{m_k-1} b_k has the series
 
+        G = (-1)^k sum_{N_1 > ... > N_k > 0} prod_i (z/b_i)^{N_i - N_{i+1}} / N_i^{m_i},
 
-def _forward_diffs(vals: list, order: int) -> list:
-    out = [vals]
-    cur = vals
-    for _ in range(order):
-        cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
-        out.append(cur)
-    return [row[0] for row in out]
-
-
-def _converge(attempt, M: int, cap: int, tail: str, case: str) -> mp.mpc:
-    """The one convergence loop of the root-of-unity tails: double the
-    truncation M from its start until ``attempt(M) -> (value, err)`` meets
-    the target 10^-(dps-8), and raise PrecisionError once M has passed cap."""
-    target = 10.0 ** (-(mp.mp.dps - 8))
-    while True:
-        value, err = attempt(M)
-        if err <= target:
-            return value
-        if M > cap:
-            raise PrecisionError(f"{tail} tail stuck at {err} for {case}")
-        M *= 2
-
-
-_ABEL_ORDER = 8  # summations by parts in an Abel tail
-# prefix entries past the truncation M that an Abel tail's window reads
-# (k up to M + _ABEL_ORDER + 1), with two to spare
-_ABEL_REACH = _ABEL_ORDER + 2
-
-
-def _abel_tail(cfun, K: int, y: mp.mpc):
-    """sum_{k > K} c_k y^k via repeated summation by parts; returns
-    (value, err_estimate).  c must be smooth (non-oscillatory) in k."""
-    window = [cfun(K + 1 + t) for t in range(_ABEL_ORDER + 1)]
-    diffs = _forward_diffs(window, _ABEL_ORDER)
-    ratio = y / (1 - y)
-    pref = y ** (K + 1) / (1 - y)
-    total = mp.mpc(0)
-    rp = mp.mpc(1)
-    for r in range(_ABEL_ORDER):
-        total += rp * pref * diffs[r]
-        rp = rp * ratio
-    err = float(abs(rp) * abs(diffs[_ABEL_ORDER]) * (K + 1) * 4)
-    return total, err
-
-
-# -- asymptotic series in k: dict (p, q) -> coeff for  coeff * k^{-p} log^q k
-
-_EM_TERMS = 8
-_EM_PMAX = 18
-_MOMENT_TERMS = 12  # moments Phi_u of the geometric tail series, u = 0.._MOMENT_TERMS
-
-
-def _series_add(dst: dict, p: int, q: int, c) -> None:
-    if c == 0:
-        return
-    key = (p, q)
-    new = dst.get(key, mp.mpc(0)) + c
-    dst[key] = new
-
-
-def _series_eval(S: dict, k) -> mp.mpc:
-    lk = mp.log(k)
-    total = mp.mpc(0)
-    for (p, q), c in S.items():
-        total += c * lk ** q / mp.mpf(k) ** p
-    return total
-
-
-def _deriv_entries(p: int, q: int, c):
-    """d/dx of c x^{-p} log^q x."""
-    out = []
-    if p:
-        out.append((p + 1, q, -p * c))
-    if q:
-        out.append((p + 1, q - 1, q * c))
+    so one kernel run over the tail products z/b_i gives every suffix: the
+    suffix 0^{j-1} b_i ... b_k is level i's array dotted with 1/N^j."""
+    ys, ms = [], []
+    m = 0
+    for a in word:
+        m += 1
+        if a is not None:
+            ys.append(_fixed(z / a, prec))
+            ms.append(m)
+            m = 0
+    out = [(1 << prec, 0)]
+    for depth, (ar, ai) in enumerate(_prefix_levels(ys, ms, M, prec), 1):
+        sign = (-1) ** depth
+        out.extend((sign * r, sign * i) for r, i in _power_sums(ar, ai, ms[-depth]))
     return out
 
 
-def _integral_entries(p: int, q: int, c):
-    """Antiderivative of c x^{-p} log^q x (constant-free)."""
-    if p == 1:
-        return [(0, q + 1, c / (q + 1))]
-    out = []
-    while True:
-        out.append((p - 1, q, c / (1 - p)))
-        if q == 0:
-            return out
-        c = -c * q / (1 - p)
-        q -= 1
-
-
-def _prefix_series(S: dict, m_i: int, M: int) -> tuple[dict, float]:
-    """k-dependent part of sum_{j<k} j^{-m_i} S(j), by Euler-Maclaurin:
-
-        F(k) - f(k)/2 + sum_t B_{2t}/(2t)! f^{(2t-1)}(k)
-
-    for f(x) = x^{-m_i} S(x); the integration constant is fixed separately
-    against the exact prefix data.  Returns (series, truncation proxy)."""
-    from .rationals import bernoulli_number
-
-    f = {}
-    for (p, q), c in S.items():
-        _series_add(f, p + m_i, q, c)
-    out: dict = {}
-    drop = mp.mpf(0)
-    for (p, q), c in f.items():
-        for p2, q2, c2 in _integral_entries(p, q, c):
-            _series_add(out, p2, q2, c2)
-        _series_add(out, p, q, -c / 2)
-    # B_{2t}/(2t)! f^{(2t-1)}(k): walk the odd derivative orders
-    def deriv_once(entries: dict) -> dict:
-        nxt: dict = {}
-        for (p, q), c in entries.items():
-            for p2, q2, c2 in _deriv_entries(p, q, c):
-                _series_add(nxt, p2, q2, c2)
-        return nxt
-
-    cur = deriv_once(f)  # order 1
-    for t in range(1, _EM_TERMS + 1):
-        b2t = bernoulli_number(2 * t)
-        coeff = mp.mpf(b2t.numerator) / b2t.denominator / mp.factorial(2 * t)
-        for (p, q), c in cur.items():
-            _series_add(out, p, q, coeff * c)
-        cur = deriv_once(deriv_once(cur))
-    # estimate dropped content and prune high powers
-    lk = mp.log(M)
-    for (p, q), c in list(cur.items()):
-        drop += abs(c) * lk ** q / mp.mpf(M) ** p
-    pruned = {}
-    for (p, q), c in out.items():
-        if p > _EM_PMAX:
-            drop += abs(c) * lk ** q / mp.mpf(M) ** p
-        else:
-            pruned[(p, q)] = c
-    return pruned, float(drop)
-
-
-def _series_tail_sum(S: dict, m_last: int, M: int) -> mp.mpc:
-    """sum_{k>M} k^{-m_last} S(k) via Hurwitz zeta derivatives."""
-    total = mp.mpc(0)
-    for (p, q), c in S.items():
-        s = p + m_last
-        hz = mp.zeta(s, M + 1, q) if q else mp.zeta(s, M + 1)
-        total += c * (-1) ** q * hz
-    return total
-
-
-def _czv_em(m, fracs) -> mp.mpc:
-    """All roots equal 1 (an MZV, m_d >= 2): partial sum plus a tail summed
-    from the Euler-Maclaurin asymptotics of the inner prefix sums, with the
-    integration constants pinned to the exact prefix data at k = M."""
-    m = tuple(m)
-    d = len(m)
-    ys = [root_value(f) for f in fracs]
-
-    def attempt(M: int):
-        levels = _prefix_levels(m, ys, M)
-        S: dict = {(0, 0): mp.mpc(1)}
-        err_acc = 0.0
-        for i in range(1, d):
-            S, drop = _prefix_series(S, m[i - 1], M)
-            err_acc += drop
-            const = levels[i][M - 1] - _series_eval(S, M)
-            _series_add(S, 0, 0, const)
-            resid = abs(levels[i][M // 2 - 1] - _series_eval(S, M // 2))
-            err_acc += float(resid)
-        nlast = m[-1]
-        tail = _series_tail_sum(S, nlast, M)
-        err = err_acc * float(abs(mp.zeta(nlast, M + 1))) * 4
-        return levels[d][M] + tail, err
-
-    return _converge(attempt, 1600, 40000, "EM", f"{m}")
-
-
-def _geometric_moment_series(m1: int, y: mp.mpc) -> dict:
-    """Asymptotics of sigma(k) = sum_{t>=0} y^t (k+t)^{-m1} for |y| = 1,
-    y != 1:  sum_u C(-m1, u) Phi_u(y) k^{-m1-u} with Phi_u = sum t^u y^t."""
-    from .rationals import signed_binomial
-
-    S: dict = {}
-    for u in range(_MOMENT_TERMS + 1):
-        if u == 0:
-            phi = 1 / (1 - y)
-        else:
-            phi = mp.polylog(-u, y)
-        sb = signed_binomial(-m1, u)
-        _series_add(S, m1 + u, 0, mp.mpf(sb.numerator) / sb.denominator * phi)
-    return S
-
-
-def _czv_abel(m, fracs) -> mp.mpc:
-    """Trailing root != 1, inner roots all 1: partial sum + Abel tail."""
-    m = tuple(m)
-    ys = [root_value(f) for f in fracs]
-    nlast = m[-1]
-
-    def attempt(M: int):
-        levels = _prefix_levels(m, ys, M + _ABEL_REACH)
-        T = levels[-2]
-        tail, err = _abel_tail(lambda k: T[k - 1] / mp.mpf(k) ** nlast, M, ys[-1])
-        return levels[-1][M] + tail, err
-
-    return _converge(attempt, 1500, 60000, "Abel", f"{m} at {fracs}")
-
-
-def _czv_peel2(m, fracs) -> mp.mpc:
-    """Depth 2 with an oscillatory inner root: peel the inner tail.
-
-    With rho(k) = T1(inf) - T1(k) = y1^k sigma(k) and sigma smooth,
-
-      sum_{k>M} y2^k k^{-m2} T1(k)
-        = T1(inf) * sum_{k>M} y2^k k^{-m2}
-          - sum_{k>M} (y1 y2)^k k^{-m2} sigma(k),
-
-    where the first piece is closed (polylog / Hurwitz zeta) and the second
-    is Abel-summable in the combined ratio y1*y2 (or fitted when that is 1).
-    """
-    m1, m2 = m
-    f1, f2 = fracs
-    y1 = root_value(f1)
-    y1inv = 1 / y1
-    y2 = root_value(f2)
-    t1_inf = _polylog_at_root(m1, f1)
-
-    def attempt(M: int):
-        levels = _prefix_levels(m, (y1, y2), M + _ABEL_REACH)
-        T = levels[1]
-        if f2 == 0:
-            head_tail = mp.zeta(m2, M + 1) + mp.mpc(0)
-        else:
-            head_tail = mp.polylog(m2, y2) - _prefix_levels((m2,), (y2,), M)[1][M]
-
-        def sigma(k: int) -> mp.mpc:
-            return (t1_inf - T[k - 1]) * y1inv ** k
-
-        # y1*y2 = 1 exactly when the phases sum to an integer; deciding it
-        # on the exact phases keeps the branch independent of the precision
-        if (f1 + f2) % 1 == 0:
-            S = _geometric_moment_series(m1, y1)
-            rem = _series_tail_sum(S, m2, M)
-            resid = abs(sigma(M) - _series_eval(S, M)) + abs(
-                sigma(M // 2) - _series_eval(S, M // 2)
-            )
-            # residual decays at least like the series' leading power
-            err = float(resid * mp.mpf(M) ** m1 * abs(mp.zeta(m2 + m1, M + 1))) * 4
-        else:
-            rem, err = _abel_tail(lambda k: sigma(k) / mp.mpf(k) ** m2, M, y1 * y2)
-        return levels[2][M] + t1_inf * head_tail - rem, err
-
-    return _converge(attempt, 1500, 60000, "peel", f"{m} at {fracs}")
-
-
 def eval_czv(m, fracs, dps: int | None = None) -> mp.mpc:
-    """Li_m at roots of unity exp(2 pi i * fracs); convergent cases only
-    ((m_s, root_s) != (1, 1)).  Supported shapes: depth <= 1 closed, inner
-    roots all 1 with any trailing root, and depth 2 with arbitrary roots."""
+    """Li_m at the roots of unity exp(2 pi i * fracs), for every depth and
+    every root; only a divergent head ((m_d, root_d) = (1, 1)) raises
+    DomainError.
+
+    Li_m(x) = (-1)^d I(0; w; 1), where w = a_1 ... a_n is the word of the
+    base values 1/x (``li_to_word``), is split at p by Hoelder convolution
+    (Borwein, Bradley, Broadhurst and Lisonek, Trans. AMS 353 (2001), sec. 7):
+
+        I(0; w; 1) = sum_k (-1)^k G(1-a_k ... 1-a_1; 1-p) G(a_{k+1} ... a_n; p).
+
+    With p = 1/(1 + min(1, min |1-a|)) over the letters a != 1, every tail
+    product in both families has modulus <= p, so one truncation M, fixed
+    in advance, serves every G.  Letters are formed from the exact phases: a
+    letter is 1 exactly when its phase is 0, and 1-a is then the zero letter."""
     m = tuple(int(x) for x in m)
     fracs = tuple(Fraction(f) % 1 for f in fracs)
     if dps is not None:
         with mp.workdps(dps):
             return eval_czv(m, fracs)
-    d = len(m)
-    if d == 0:
+    if not m:
         return mp.mpc(1)
     if m[-1] == 1 and fracs[-1] == 0:
         raise DomainError(f"divergent head for {m} at {fracs}")
-    if d == 1:
-        return _polylog_at_root(m[0], fracs[0])
-    inner_one = all(f == 0 for f in fracs[:-1])
-    if inner_one:
-        return _czv_em(m, fracs) if fracs[-1] == 0 else _czv_abel(m, fracs)
-    if d == 2:
-        return _czv_peel2(m, fracs)
-    raise PrecisionError(f"unsupported root pattern for depth {d}: {fracs}")
+    phases = [None if letter.is_zero() else letter.arg
+              for letter in li_to_word(m, [-f % 1 for f in fracs], lambda a, b: (a + b) % 1)]
+    n = len(phases)
+    prec = _fixed_prec(mp.mp.dps)
+    with mp.workprec(prec):
+        word = [None if f is None else root_value(f) for f in phases]
+        # letters other than 0 (None) and 1 (phase 0)
+        gap = min([mp.mpf(1)] + [abs(1 - a) for f, a in zip(phases, word) if f])
+        p = 1 / (1 + gap)
+        M = _truncation(float(p), n, prec)
+        lower = _suffix_values(word, p, M, prec)  # paths 0 -> p
+        reflected = [mp.mpf(1) if f is None else None if f == 0 else 1 - a
+                     for f, a in zip(phases[::-1], word[::-1])]
+        upper = _suffix_values(reflected, 1 - p, M, prec)  # paths p -> 1, as 0 -> 1-p
+    total_r = total_i = 0
+    for k in range(n + 1):
+        (gr, gi), (hr, hi) = upper[k], lower[n - k]
+        sign = (-1) ** k
+        total_r += sign * (gr * hr - gi * hi)
+        total_i += sign * (gr * hi + gi * hr)
+    sign = (-1) ** len(m)
+    return _from_fixed(sign * total_r >> prec, sign * total_i >> prec, prec)

@@ -2,6 +2,7 @@
 line (run with `pytest -s tests/test_acceptance.py` to see them live)."""
 
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from mplparity.roots import (
     MINUS_ONE,
     ONE_ROOT,
     CzvCombination,
+    RootOfUnity,
     CzvFactor,
     bernoulli_identity_check,
     eval_czv_combination,
@@ -317,3 +319,27 @@ def test_criterion_11_table_generation(tmp_path):
         code == 0 and code2 == 0 and len(entries) == 63 and identical,
         f"{len(entries)} equations, warm rerun byte-identical = {identical}",
     )
+
+
+def test_criterion_12_depth3_parity_at_roots():
+    # every depth-3 index of weight <= 6 at N in {2, 3, 4, 6}, one seeded
+    # root tuple each: the specialized canonical equation equals
+    # PLi_n(zeta) = Li_n(zeta) - (-1)^{|n|-3} Li_n(conj zeta), to 1e-30
+    rng = random.Random(12)
+    worst, cases = 0.0, 0
+    for n in (n for n in all_indices(6) if len(n) == 3):
+        sign = (-1) ** (sum(n) - 3)
+        for N in (2, 3, 4, 6):
+            while True:
+                ks = [rng.randrange(N) for _ in n]
+                if not (n[-1] == 1 and ks[-1] == 0):
+                    break
+            roots = tuple(RootOfUnity.make(k, N) for k in ks)
+            value = eval_czv_combination(specialize(pli(n, "canonical"), roots), dps=30)
+            fracs = [Fraction(k, N) for k in ks]
+            with mp.workdps(40):
+                lhs = eval_czv(n, fracs) - sign * eval_czv(n, [-f for f in fracs])
+                worst = max(worst, float(abs(value - lhs)))
+            cases += 1
+    report(12, "depth-3 parity at roots of unity", cases == 80 and worst <= 1e-30,
+           f"{cases} cases, worst {worst:.2e}")

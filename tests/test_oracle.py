@@ -8,9 +8,9 @@ from mplparity.oracle import (
     DomainError,
     EvalContext,
     HyperlogIntegrator,
-    PrecisionError,
-    _converge,
+    _fixed_prec,
     _gauss_data,
+    _power_sums,
     _prefix_levels,
     _ray_distance,
     ber_value,
@@ -262,9 +262,9 @@ def test_czv_depth2_brute_double_sum():
 
 
 def test_czv_peel2_unit_ratio_low_precision():
-    # y1*y2 = 1 is decided from the exact phases, so the fitted tail is
-    # chosen at any working precision (below about 13 digits a float test
-    # missed it and the Abel tail stalled)
+    # y1*y2 = 1 makes the letter 1, which is decided from the exact phases,
+    # so the value holds at any working precision (below about 13 digits a
+    # float test once missed it)
     cases = [
         ((1, 2), (Fraction(1, 2), Fraction(1, 2))),
         ((2, 2), (Fraction(1, 2), Fraction(1, 2))),
@@ -302,12 +302,23 @@ def test_czv_depth3():
         assert partial < mp.re(got) < partial + tail_hi
 
 
-def test_czv_rejects_unsupported_pattern():
-    from mplparity.oracle import PrecisionError
-
-    with mp.workdps(30):
-        with pytest.raises((PrecisionError, DomainError)):
-            eval_czv((2, 2, 2), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)))
+def test_czv_general_roots_match_quadrature():
+    # root patterns outside depth 1, "inner roots all 1" and depth 2, against
+    # the iterated-integral quadrature of the same values
+    cases = [
+        ((2, 2, 2), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))),
+        ((1, 1, 2), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 3))),
+        ((1, 2, 1), (Fraction(1, 12), Fraction(1, 6), Fraction(1, 4))),
+        ((1, 1, 1, 2), (Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))),
+    ]
+    integ = HyperlogIntegrator(40)
+    with mp.workdps(40):
+        for m, fr in cases:
+            base = [1 / mp.expjpi(2 * mp.mpf(f.numerator) / f.denominator) for f in fr]
+            ref = eval_li_inverse(m, base, integ).value
+            assert abs(eval_czv(m, fr) - ref) < 1e-38, (m, fr)
+        with pytest.raises(DomainError):
+            eval_czv((2, 1), (Fraction(1, 3), Fraction(0)))
 
 
 def _gauss_mul(a, b):
@@ -316,61 +327,65 @@ def _gauss_mul(a, b):
 
 @pytest.mark.parametrize("units", [((1, 0), (1, 0), (1, 0)),
                                    ((-1, 0), (1, 0), (-1, 0)),
-                                   ((0, 1), (1, 0), (0, -1))])
+                                   ((0, 1), (1, 0), (0, -1)),
+                                   # ratios of modulus 1.1 and 1.5, tail products below 1
+                                   ((Fraction(-11, 10), 0), (Fraction(3, 2), 0),
+                                    (Fraction(1, 2), Fraction(1, 3)))])
 def test_prefix_levels_match_exact_nested_sums(units):
-    # values at 1 take the kernel's power-free branch, the others the
-    # general one; the reference sums the same series in Gaussian rationals
+    # the truncated series Li_{2,1,3}(v) (values innermost first) in Gaussian
+    # rationals: T_i(k) = sum_{j<k} v_i^j j^{-n_i} T_{i-1}(j), held as
+    # prev[k - 1] = T_{i-1}(k).  The kernel carries level i as
+    # A_i(k) = v_i^k T_{i-1}(k) (v_{i+1} ... v_3)^k
     indices, M = (2, 1, 3), 30
-    with mp.workdps(50):
-        got = _prefix_levels(indices, [mp.mpc(*u) for u in units], M)
-        prev = [(Fraction(1), Fraction(0))] * (M + 1)
-        exact = [prev]
-        for u, n in zip(units, indices):
-            cur = [(Fraction(0), Fraction(0))]
-            pw = (1, 0)
-            for k in range(1, M + 1):
-                pw = _gauss_mul(pw, u)
-                term = _gauss_mul(pw, prev[k - 1])
-                cur.append((cur[-1][0] + term[0] / k ** n, cur[-1][1] + term[1] / k ** n))
-            prev = cur
-            exact.append(prev)
-        assert len(got) == len(exact) == 4
-        for level, ref in zip(got, exact):
-            assert len(level) == M + 1
-            for v, (re, im) in zip(level, ref):
-                want = mp.mpc(mp.mpf(re.numerator) / re.denominator,
-                              mp.mpf(im.numerator) / im.denominator)
-                assert abs(v - want) < 1e-45
+    units = [(Fraction(re), Fraction(im)) for re, im in units]
+    tails = [units[-1]]
+    for u in units[-2::-1]:
+        tails.append(_gauss_mul(u, tails[-1]))  # v_3, v_2 v_3, v_1 v_2 v_3
+    prec = _fixed_prec(50)
+    ys = [tuple((x.numerator << prec) // x.denominator for x in y) for y in tails]
+    got = [(list(ar), list(ai)) for ar, ai in _prefix_levels(ys, indices[::-1], M, prec)]
+    top = _power_sums(*got[-1], indices[-1])[-1]
+    prev = [(Fraction(1), Fraction(0))] * (M + 1)
+    for level, (u, n) in enumerate(zip(units, indices)):
+        outer = (Fraction(1), Fraction(0))  # v_{i+1} ... v_3
+        for v in units[level + 1:]:
+            outer = _gauss_mul(outer, v)
+        cur = [(Fraction(0), Fraction(0))]
+        pw, po = (1, 0), (1, 0)
+        ar, ai = got[level]
+        assert len(ar) == len(ai) == M + 1
+        for k in range(1, M + 1):
+            pw, po = _gauss_mul(pw, u), _gauss_mul(po, outer)
+            term = _gauss_mul(pw, prev[k - 1])  # v_i^k T_{i-1}(k)
+            for fixed, exact in zip((ar[k], ai[k]), _gauss_mul(term, po)):
+                assert abs(Fraction(fixed, 1 << prec) - exact) < Fraction(1, 10 ** 45)
+            cur.append((cur[-1][0] + term[0] / k ** n, cur[-1][1] + term[1] / k ** n))
+        prev = cur
+    # the outermost array dotted with 1/N^3 is the truncated series T_3(M + 1)
+    for fixed, exact in zip(top, prev[M]):
+        assert abs(Fraction(fixed, 1 << prec) - exact) < Fraction(1, 10 ** 45)
 
 
-def test_converge_returns_first_value_meeting_target():
-    seen = []
-
-    def attempt(M):
-        seen.append(M)
-        # the target at 20 digits is 10^-(20-8) = 1e-12; met exactly at M = 400
-        return f"value at {M}", (1e-10 if M < 400 else 1e-12)
-
-    with mp.workdps(20):
-        assert _converge(attempt, 100, 1000, "test", "case") == "value at 400"
-    assert seen == [100, 200, 400]
-
-
-def test_converge_raises_once_past_cap():
-    seen = []
-
-    def attempt(M):
-        seen.append(M)
-        return None, 1.0
-
-    with mp.workdps(20):
-        with pytest.raises(PrecisionError, match="test tail stuck at 1.0 for case"):
-            _converge(attempt, 100, 1000, "test", "case")
-    assert seen == [100, 200, 400, 800, 1600]
+def test_czv_precision_independent():
+    # unit letters come from the exact phases: at a phase sum of 0 mod 1 the
+    # word has the letter 1, and the value is the same at 10 and 60 digits
+    cases = [
+        ((1, 2), (Fraction(1, 2), Fraction(1, 2))),
+        ((2, 2), (Fraction(1, 2), Fraction(1, 2))),
+        ((1, 2), (Fraction(1, 4), Fraction(3, 4))),
+        ((2, 1, 2), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))),
+        ((1, 2, 2), (Fraction(1, 4), Fraction(1, 4), Fraction(3, 4))),
+    ]
+    for m, fr in cases:
+        ref = eval_czv(m, fr, dps=60)
+        with mp.workdps(60):
+            got = eval_czv(m, fr, dps=10)
+            assert abs(got - ref) < 1e-10, (m, fr)
 
 
-# eval_czv at 40 digits, one case per tail path; the tails aim at 1e-32, and
-# a truncation off by one term would move these by about 1e-7
+# eval_czv at 40 digits, one case per input shape that once had its own
+# tail evaluator (the ids name it); values captured from those tails, which
+# aimed at 1e-32
 CZV_PINS = [
     ((2,), (Fraction(1, 3),),  # closed
      "-0.548311355616075478824138388882008396", "0.676627737606435750014135036183013524"),
