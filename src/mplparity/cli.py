@@ -33,6 +33,8 @@ from .roots import (
 )
 from .rationals import bernoulli_number, bernoulli_polynomial
 from .terms import (
+    gen_depth,
+    gen_weight,
     lincomb_from_dict,
     lincomb_to_latex,
     lincomb_to_text,
@@ -101,11 +103,20 @@ class EquationCache:
         if (not isinstance(data, dict) or data.get("index") != list(index)
                 or data.get("form") != form):
             return None
-        eq = lincomb_from_dict(data)
+        # so is one that breaks the equations' contract: integer
+        # coefficients, every term of weight |n| and depth <= d-1, and for
+        # the canonical form ordered, inversion-free arguments
+        try:
+            eq = lincomb_from_dict(data)
+        except (ValueError, KeyError, TypeError):
+            return None
+        w, d = sum(index), len(index)
         if form == "canonical":
-            w = sum(index)
-            if not all(validate_generator(g, len(index) - 1, w) for g in eq.terms):
-                return None
+            valid = all(validate_generator(g, d - 1, w) for g in eq.terms)
+        else:
+            valid = all(gen_weight(g) == w and gen_depth(g) < d for g in eq.terms)
+        if eq.ambient != d or not valid:
+            return None
         return PliResult(tuple(index), eq, form)
 
     def store(self, result: PliResult) -> None:

@@ -17,8 +17,8 @@ variable z_1:
 
 Sub-results are computed over a fresh ambient list of length = depth and
 embedded into the parent via span maps, so the memo key is the index
-vector alone.  All coefficients stay integers in this basis; tests assert
-that rather than assume it.
+vector alone.  All coefficients stay integers in this basis: a ``LinComb``
+holds ``int``s and raises ``ValueError`` on anything else.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .rationals import binom, signed_binomial
@@ -37,12 +36,11 @@ from .terms import (
     LinComb,
     RewriteError,
     ber_generator,
-    expand_reversed_factors,
-    gen_depth,
     invert_depth1,
     li_generator,
     lincomb_to_dict,
     make_generator,
+    sorted_generator,
     stuffle_swap_depth2,
 )
 
@@ -57,27 +55,30 @@ def embed(lc: LinComb, spans: tuple[ConsProd, ...], parent_ambient: int) -> LinC
     adjacent and end at the parent's last variable (so Ber arguments still
     run to the end)."""
     s = len(spans)
-    if spans[-1].end != parent_ambient:
+    if spans[0].start < 1 or spans[-1].end != parent_ambient:
         raise RewriteError("embedding must cover a suffix of the parent variables")
     for a, b in zip(spans, spans[1:]):
         if a.end + 1 != b.start or a.inverted or b.inverted:
             raise RewriteError("embedding spans must be plain and adjacent")
+    # The span map is increasing, so every relabelled generator is already
+    # in the order make_generator would sort it into.
+    factors: dict[LiFactor, LiFactor] = {}
+
+    def relabel(f: LiFactor) -> LiFactor:
+        got = factors.get(f)
+        if got is None:
+            got = factors[f] = LiFactor(f.indices, tuple(
+                ConsProd(spans[a.start - 1].start, spans[a.end - 1].end, a.inverted)
+                for a in f.args
+            ))
+        return got
+
     out = LinComb(parent_ambient)
     for g, c in lc.terms.items():
         if g.ambient != s:
             raise ValueError("child ambient does not match span map")
-        bers = [(spans[i - 1].start, k) for i, k in g.bers]
-        lis = [
-            LiFactor(
-                f.indices,
-                tuple(
-                    ConsProd(spans[a.start - 1].start, spans[a.end - 1].end, a.inverted)
-                    for a in f.args
-                ),
-            )
-            for f in g.lis
-        ]
-        out.add_term(make_generator(parent_ambient, bers, lis), c)
+        bers = tuple((spans[i - 1].start, k) for i, k in g.bers)
+        out.add_term(Generator(parent_ambient, bers, tuple(map(relabel, g.lis))), c)
     return out
 
 
@@ -200,7 +201,7 @@ def z1_log_derivative(lc: LinComb) -> LinComb:
 # primitives
 
 
-def _primitive_z1_term(g: Generator, c: Fraction, out: LinComb) -> None:
+def _primitive_z1_term(g: Generator, c: int, out: LinComb) -> None:
     """d/dz_1-primitive of g/z_1 by the explicit formulas."""
     k, head = _z1_parts(g)
     if head is None:
@@ -212,7 +213,7 @@ def _primitive_z1_term(g: Generator, c: Fraction, out: LinComb) -> None:
         out.add_term(_with_ber1(_replace_li(g, head, newf), k - mu), c * (-1) ** mu)
 
 
-def _primitive_one_term(g: Generator, c: Fraction, out: LinComb) -> None:
+def _primitive_one_term(g: Generator, c: int, out: LinComb) -> None:
     """d/dz_1-primitive of g/(1-z_1); raises the depth by one."""
     n = g.ambient
     k, head = _z1_parts(g)
@@ -365,25 +366,27 @@ class PliResult:
 class Engine:
     """Memoized computation of the depth-reduced functional equations.
 
-    Results for distinct indices may be computed concurrently; cache writes
-    are idempotent (same index always produces the same LinComb)."""
+    Results for distinct keys may be computed concurrently; memo writes
+    are idempotent (the same key always produces the same LinComb)."""
 
     def __init__(self) -> None:
         self._compact: dict[tuple[int, ...], LinComb] = {}
         self._canonical: dict[tuple[int, ...], LinComb] = {}
+        self._rewrites: dict[tuple[LiFactor, int], LinComb] = {}
         self._lock = threading.Lock()
+
+    def _memoized(self, table: dict, key, compute) -> LinComb:
+        got = table.get(key)
+        if got is None:
+            got = compute(key)
+            with self._lock:
+                got = table.setdefault(key, got)
+        return got
 
     # -- compact form ------------------------------------------------------
 
     def pli_lincomb(self, n: tuple[int, ...]) -> LinComb:
-        n = tuple(n)
-        got = self._compact.get(n)
-        if got is not None:
-            return got
-        val = self._compute(n)
-        with self._lock:
-            self._compact.setdefault(n, val)
-        return self._compact[n]
+        return self._memoized(self._compact, tuple(n), self._compute)
 
     def _compute(self, n: tuple[int, ...]) -> LinComb:
         d = len(n)
@@ -425,45 +428,52 @@ class Engine:
     # -- canonical form ----------------------------------------------------
 
     def pli_canonical(self, n: tuple[int, ...]) -> LinComb:
-        n = tuple(n)
-        got = self._canonical.get(n)
-        if got is not None:
-            return got
-        val = self.canonicalize(self.pli_lincomb(n))
-        with self._lock:
-            self._canonical.setdefault(n, val)
-        return self._canonical[n]
+        return self._memoized(
+            self._canonical, tuple(n), lambda n: self.canonicalize(self.pli_lincomb(n))
+        )
 
     def canonicalize(self, lc: LinComb) -> LinComb:
-        """Eliminate inverted and reversed arguments: reversed depth-2
-        factors go through the quasi-shuffle, inverted suffix factors are
-        rewritten with Li_m(1/y) = (-1)^{|m|-s} (Li_m(y) - PLi_m(y)) and the
-        depth-1 inversion formula."""
-        lc = expand_reversed_factors(lc)
+        """Eliminate inverted and reversed arguments in one substitution
+        pass: each generator becomes its Ber factors times the product of
+        its Li factors' canonical rewrites (``_rewrite_factor``), each
+        computed once per (factor, ambient) and memoized."""
+        n = lc.ambient
+        out = LinComb(n)
+        for g, c in lc.terms.items():
+            partial = [(g.bers, (), c)]
+            for f in g.lis:
+                rewrite = self._memoized(self._rewrites, (f, n), self._rewrite_factor)
+                partial = [
+                    (bers + h.bers, lis + h.lis, k * kh)
+                    for bers, lis, k in partial
+                    for h, kh in rewrite.terms.items()
+                ]
+            for bers, lis, k in partial:
+                out.add_term(sorted_generator(n, bers, lis), k)
+        return out
 
-        def fix(g: Generator, c: Fraction) -> LinComb:
-            for idx, f in enumerate(g.lis):
-                if not f.has_inverted():
-                    continue
-                if not all(a.inverted for a in f.args):
-                    raise RewriteError(f"mixed inverted/plain arguments in {f}")
-                rest = make_generator(g.ambient, g.bers, g.lis[:idx] + g.lis[idx + 1 :])
-                if f.depth == 1:
-                    repl = invert_depth1(f.indices[0], f.args[0], g.ambient)
-                else:
-                    spans = tuple(ConsProd(a.start, a.end) for a in f.args)
-                    if spans[-1].end != g.ambient:
-                        raise RewriteError(f"inverted factor {f} is not a suffix")
-                    sign = (-1) ** (f.weight - f.depth)
-                    repl = LinComb(g.ambient)
-                    repl.add_term(li_generator(g.ambient, f.indices, spans), sign)
-                    repl = repl - embed(
-                        self.pli_canonical(f.indices), spans, g.ambient
-                    ).scale(sign)
-                return self.canonicalize(repl.mul_generator(rest, c))
-            return LinComb(g.ambient, {g: c})
-
-        return lc.map_terms(fix)
+    def _rewrite_factor(self, key: tuple[LiFactor, int]) -> LinComb:
+        """Canonical form of one Li factor over ``ambient`` variables.  A
+        plain factor maps to itself; a reversed depth-2 factor goes through
+        the quasi-shuffle; an inverted suffix factor through the depth-1
+        inversion formula or Li_m(1/y) = (-1)^{|m|-s} (Li_m(y) - PLi_m(y))."""
+        f, ambient = key
+        if not f.has_inverted():
+            if f.depth == 2 and f.args[0].start > f.args[1].start:
+                return stuffle_swap_depth2(
+                    f.indices[1], f.indices[0], f.args[1], f.args[0], ambient
+                )
+            return LinComb.single(Generator(ambient, (), (f,)))
+        if not all(a.inverted for a in f.args):
+            raise RewriteError(f"mixed inverted/plain arguments in {f}")
+        if f.depth == 1:
+            return invert_depth1(f.indices[0], f.args[0], ambient)
+        spans = tuple(ConsProd(a.start, a.end) for a in f.args)
+        if spans[-1].end != ambient:
+            raise RewriteError(f"inverted factor {f} is not a suffix")
+        sign = (-1) ** (f.weight - f.depth)
+        plain = LinComb.single(li_generator(ambient, f.indices, spans), sign)
+        return plain - embed(self.pli_canonical(f.indices), spans, ambient).scale(sign)
 
     # -- public API --------------------------------------------------------
 

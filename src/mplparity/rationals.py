@@ -142,18 +142,22 @@ class RatPolynomial:
 
 
 class SparseSum:
-    """Sparse rational linear combination: a dict from hashable keys to
-    nonzero Fraction coefficients.
+    """Sparse linear combination: a dict from hashable keys to nonzero exact
+    coefficients.
 
     The one implementation of term arithmetic for the generator, log-basis,
     word and root-of-unity algebras; subclasses add their domain operations
-    and a ``sort_key`` for ``sorted_items``.  Subclasses over an ambient
-    variable list store it in an ``ambient`` slot and override ``_empty``;
-    sums compare equal only within one class and one ambient.
+    and a ``sort_key`` for ``sorted_items``.  Every coefficient that enters
+    (``add_term``, ``scale``) passes through the class's ``coerce``:
+    ``Fraction`` here, ``int`` for the generator algebra, which rejects
+    anything else.  Subclasses over an ambient variable list store it in an
+    ``ambient`` slot and override ``_empty``; sums compare equal only within
+    one class and one ambient.
     """
 
     __slots__ = ("terms",)
     ambient = None
+    coerce = staticmethod(Fraction)
 
     def __init__(self, terms: dict | None = None) -> None:
         self.terms: dict = {}
@@ -166,7 +170,7 @@ class SparseSum:
         return type(self)()
 
     def add_term(self, key, c) -> None:
-        c = Fraction(c)
+        c = self.coerce(c)
         if c == 0:
             return
         terms = self.terms
@@ -203,7 +207,7 @@ class SparseSum:
         return out
 
     def scale(self, c) -> "SparseSum":
-        c = Fraction(c)
+        c = self.coerce(c)
         out = self._empty()
         if c != 0:
             out.terms = {key: k * c for key, k in self.terms.items()}

@@ -222,12 +222,15 @@ def specialize_lincomb(eq: LinComb, roots) -> CzvCombination:
     if len(roots) != eq.ambient:
         raise ValueError("one root per ambient variable required")
     out = CzvCombination()
+    ber_values: dict[tuple[int, int], CzvCombination] = {}  # per Ber factor
     for g, c in eq.terms.items():
         term = CzvCombination.constant(c)
         for s, k in g.bers:
-            coeff, p = ber_at_root(k, _span_root(ConsProd(s, g.ambient), roots))
-            piece = CzvCombination()
-            piece.add_term(make_term(p, 0, ()), coeff)
+            piece = ber_values.get((s, k))
+            if piece is None:
+                coeff, p = ber_at_root(k, _span_root(ConsProd(s, g.ambient), roots))
+                piece = ber_values[s, k] = CzvCombination()
+                piece.add_term(make_term(p, 0, ()), coeff)
             term = term.mul(piece)
         for f in g.lis:
             argroots = tuple(_span_root(a, roots) for a in f.args)

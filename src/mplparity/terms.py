@@ -11,9 +11,10 @@ A generator over ambient variables z_1..z_N is a product of
 The canonical form demands the Li arguments, read left to right across all
 factors, to be disjoint, totally ordered and inversion-free; intermediate
 generators may carry inverted suffix arguments and (in closed formulas)
-reversed argument orders.  Coefficients are exact Fractions throughout;
-the engine only ever produces integers in this basis, which is asserted
-rather than assumed.
+reversed argument orders.  The equations have integer coefficients in
+this basis, so a ``LinComb`` holds ``int`` coefficients and raises
+``ValueError`` on any non-integer that reaches it; the log-basis expansion
+keeps exact Fractions.
 """
 
 from __future__ import annotations
@@ -85,23 +86,35 @@ def gen_sort_key(g: Generator):
     )
 
 
+def _li_order(f: LiFactor) -> tuple[int, int]:
+    return f.args[0].start, f.args[0].end
+
+
+def sorted_generator(ambient: int, bers: Iterable[tuple[int, int]], lis: Iterable[LiFactor]) -> Generator:
+    """Generator from factors already known to be well formed (products of
+    generators, rewrites of their factors): sorted only, with the one rule a
+    product can break, one Ber factor per start index."""
+    bs = tuple(sorted(bers))
+    for (s1, _), (s2, _) in zip(bs, bs[1:]):
+        if s1 == s2:
+            raise RewriteError("two Ber factors with the same start index")
+    return Generator(ambient, bs, tuple(sorted(lis, key=_li_order)))
+
+
 def make_generator(ambient: int, bers: Iterable[tuple[int, int]], lis: Iterable[LiFactor]) -> Generator:
-    bs = sorted(bers)
-    starts = [s for s, _ in bs]
-    if len(set(starts)) != len(starts):
-        raise RewriteError("two Ber factors with the same start index")
-    for s, k in bs:
+    """Generator from arbitrary factors, sorted and fully validated."""
+    g = sorted_generator(ambient, bers, lis)
+    for s, k in g.bers:
         if not (1 <= s <= ambient) or k < 1:
             raise ValueError(f"bad Ber factor ({s},{k}) for ambient {ambient}")
-    ls = sorted(lis, key=lambda f: (f.args[0].start, f.args[0].end))
-    for f in ls:
+    for f in g.lis:
         if len(f.indices) != len(f.args) or not f.indices:
             raise ValueError(f"malformed Li factor {f}")
         if any(n < 1 for n in f.indices):
             raise ValueError(f"nonpositive Li index in {f}")
         for a in f.args:
             a.check(ambient)
-    return Generator(ambient, tuple(bs), tuple(ls))
+    return g
 
 
 def validate_generator(g: Generator, depth_bound: int, weight: int) -> bool:
@@ -123,13 +136,24 @@ def validate_generator(g: Generator, depth_bound: int, weight: int) -> bool:
     return True
 
 
+def integer_coefficient(c) -> int:
+    """c as an ``int``; ``ValueError`` unless it is an exact integer."""
+    if type(c) is int:
+        return c
+    q = Fraction(c)
+    if q.denominator != 1:
+        raise ValueError(f"non-integer coefficient {c!r}")
+    return q.numerator
+
+
 class LinComb(SparseSum):
-    """Rational linear combination of generators over one ambient list."""
+    """Integer linear combination of generators over one ambient list."""
 
     __slots__ = ("ambient",)
     sort_key = staticmethod(gen_sort_key)
+    coerce = staticmethod(integer_coefficient)
 
-    def __init__(self, ambient: int, terms: dict[Generator, Fraction] | None = None) -> None:
+    def __init__(self, ambient: int, terms: dict[Generator, int] | None = None) -> None:
         self.ambient = ambient
         SparseSum.__init__(self, terms)
 
@@ -143,22 +167,14 @@ class LinComb(SparseSum):
 
     @staticmethod
     def single(g: Generator, c=1) -> "LinComb":
-        return LinComb(g.ambient, {g: Fraction(c)})
+        return LinComb(g.ambient, {g: c})
 
     def mul_generator(self, h: Generator, c=1) -> "LinComb":
         """Product with a single generator (Ber starts must not collide)."""
+        c = integer_coefficient(c)
         out = LinComb(self.ambient)
         for g, k in self.terms.items():
-            out.add_term(generator_product(g, h), k * Fraction(c))
-        return out
-
-    def map_terms(self, fn) -> "LinComb":
-        """fn(generator, coeff) -> LinComb contribution; results are summed."""
-        out = LinComb(self.ambient)
-        for g, c in self.terms.items():
-            piece = fn(g, c)
-            for g2, c2 in piece.terms.items():
-                out.add_term(g2, c2)
+            out.add_term(generator_product(g, h), k * c)
         return out
 
     def max_depth(self) -> int:
@@ -171,7 +187,7 @@ class LinComb(SparseSum):
 def generator_product(g: Generator, h: Generator) -> Generator:
     if g.ambient != h.ambient:
         raise ValueError("ambient mismatch in product")
-    return make_generator(g.ambient, g.bers + h.bers, g.lis + h.lis)
+    return sorted_generator(g.ambient, g.bers + h.bers, g.lis + h.lis)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +212,7 @@ def invert_depth1(n: int, arg: ConsProd, ambient: int) -> LinComb:
     if arg.end != ambient:
         raise RewriteError(f"Ber factor argument {arg} must run to z_{ambient}")
     plain = ConsProd(arg.start, arg.end, False)
-    sign = Fraction((-1) ** (n + 1))
+    sign = (-1) ** (n + 1)
     out = LinComb(ambient)
     out.add_term(li_generator(ambient, (n,), (plain,)), sign)
     out.add_term(ber_generator(ambient, plain.start, n), sign)
@@ -224,23 +240,6 @@ def stuffle_swap_depth2(n1: int, n2: int, a1: ConsProd, a2: ConsProd, ambient: i
     out.add_term(li_generator(ambient, (n1, n2), (a1, a2)), -1)
     out.add_term(li_generator(ambient, (n1 + n2,), (merged,)), -1)
     return out
-
-
-def expand_reversed_factors(lc: LinComb) -> LinComb:
-    """Rewrite depth-2 Li factors whose two arguments appear in decreasing
-    span order (closed-formula compaction) via the quasi-shuffle."""
-
-    def fix(g: Generator, c: Fraction) -> LinComb:
-        for idx, f in enumerate(g.lis):
-            if f.depth == 2 and not f.has_inverted() and f.args[0].start > f.args[1].start:
-                rest = make_generator(g.ambient, g.bers, g.lis[:idx] + g.lis[idx + 1:])
-                swapped = stuffle_swap_depth2(
-                    f.indices[1], f.indices[0], f.args[1], f.args[0], g.ambient
-                )
-                return expand_reversed_factors(swapped.mul_generator(rest, c))
-        return LinComb(g.ambient, {g: c})
-
-    return lc.map_terms(fix)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +349,10 @@ def lincomb_from_dict(data: dict) -> LinComb:
             )
             for f in t["lis"]
         ]
-        out.add_term(make_generator(amb, bers, lis), Fraction(t["coeff"]))
+        coeff = t["coeff"]
+        if not isinstance(coeff, str):
+            raise ValueError(f"coefficient {coeff!r} is not an integer string")
+        out.add_term(make_generator(amb, bers, lis), int(coeff))
     return out
 
 

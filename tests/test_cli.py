@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -196,6 +197,50 @@ def test_cache_rejects_entry_of_another_index(tmp_path):
     compute_pli((1, 2), "compact", cache)
     (tmp_path / "c" / "pli_compact_1_2.json").rename(tmp_path / "c" / "pli_canonical_1_2.json")
     assert cache.load((1, 2), "canonical") is None
+
+
+# a compact |n| = 3 term that breaks the contract in each way
+CORRUPTIONS = {
+    "non-integer coefficient": lambda terms: terms[0].update(coeff="1/2"),
+    "wrong weight": lambda terms: terms.append(
+        {"coeff": "1", "bers": [{"start": 1, "weight": 4}], "lis": []}),
+    "depth d": lambda terms: terms.append({"coeff": "1", "bers": [], "lis": [{
+        "indices": [1, 2],
+        "args": [{"start": 1, "end": 1, "inverted": False},
+                 {"start": 2, "end": 2, "inverted": False}]}]}),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_cache_recomputes_entry_that_breaks_the_contract(tmp_path, capsys, corruption):
+    table = ("table", "--max-weight", "3", "--format", "json")
+    code, uncached = run_cli(capsys, *table)
+    assert code == 0
+    cache_dir = tmp_path / "c"
+    code, _ = run_cli(capsys, *table, "--cache", str(cache_dir))
+    entry = cache_dir / "pli_compact_1_2.json"
+    data = json.loads(entry.read_text())
+    CORRUPTIONS[corruption](data["terms"])
+    entry.write_text(json.dumps(data, indent=1))
+    cache = EquationCache(cache_dir)
+    assert cache.load((1, 2), "compact") is None
+    code, cached = run_cli(capsys, *table, "--cache", str(cache_dir))
+    assert code == 0 and cached == uncached
+    assert cache.load((1, 2), "compact").equation == ENGINE.pli_lincomb((1, 2))
+
+
+# SHA-256 of the exact table output, unchanged since the seed
+TABLE_SHA256 = {
+    "canonical": "b3ca64a67467f5798a71512d4aa672d9e3eb428fc44fe716188c7b912ab3df6d",
+    "compact": "992b4ebae694ff4264b68d901fd13d1264b03631a49058d2df51862655035a9a",
+}
+
+
+@pytest.mark.parametrize("form", sorted(TABLE_SHA256))
+def test_table_weight_6_is_pinned(capsys, form):
+    code, out = run_cli(capsys, "table", "--max-weight", "6", "--format", "json", "--form", form)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[form]
 
 
 def test_bernoulli_command(capsys):

@@ -6,6 +6,7 @@ import pytest
 from mplparity.engine import (
     ENGINE,
     DiffExpr,
+    Engine,
     diff_z1,
     embed,
     iterated_primitive,
@@ -28,6 +29,7 @@ from mplparity.terms import (
     LinComb,
     RewriteError,
     ber_generator,
+    invert_depth1,
     li_generator,
     make_generator,
     validate_generator,
@@ -244,6 +246,32 @@ def test_canonical_form_weight_le_4():
         w = sum(n)
         assert all(validate_generator(g, len(n) - 1, w) for g in can.terms), n
         assert can.all_integer(), n
+
+
+def test_engine_coefficients_are_ints():
+    for n in all_indices(5):
+        for eq in (ENGINE.pli_lincomb(n), ENGINE.pli_canonical(n)):
+            assert all(type(c) is int for c in eq.terms.values()), n
+
+
+def test_canonicalize_multiplies_factor_rewrites():
+    a, b = ConsProd(2, 2, True), ConsProd(1, 2, True)
+    g = make_generator(2, [], [LiFactor((2,), (a,)), LiFactor((1,), (b,))])
+    expected = LinComb(2)
+    for h, c in invert_depth1(1, b, 2).terms.items():
+        expected += invert_depth1(2, a, 2).mul_generator(h, 3 * c)
+    assert len(expected) == 4
+    assert Engine().canonicalize(LinComb(2, {g: 3})) == expected
+
+
+def test_canonicalize_rejects_unsupported_factors():
+    z = ConsProd
+    mixed = make_generator(2, [], [LiFactor((1, 1), (z(1, 1, True), z(2, 2)))])
+    not_suffix = make_generator(3, [], [LiFactor((1, 1), (z(1, 1, True), z(2, 2, True)))])
+    ber_clash = make_generator(2, [(2, 1)], [LiFactor((2,), (z(2, 2, True),))])
+    for g in (mixed, not_suffix, ber_clash):
+        with pytest.raises(RewriteError):
+            Engine().canonicalize(LinComb.single(g))
 
 
 def test_canonical_equals_compact_numerically():

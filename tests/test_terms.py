@@ -14,7 +14,6 @@ from mplparity.terms import (
     RewriteError,
     ber_generator,
     expand_ber_to_logs,
-    expand_reversed_factors,
     gen_depth,
     gen_weight,
     invert_depth1,
@@ -26,6 +25,7 @@ from mplparity.terms import (
     stuffle_swap_depth2,
     validate_generator,
 )
+from mplparity.engine import Engine
 from mplparity.roots import CzvCombination, make_term
 from mplparity.words import ZERO, WordSum
 
@@ -75,7 +75,7 @@ def test_normalize_order_insensitive():
     gens = [
         ber_generator(2, 1, k) for k in range(1, 4)
     ] + [li_generator(2, (k,), (ConsProd(1, 2),)) for k in range(1, 4)]
-    pairs = [(g, Fraction(i + 1, 3)) for i, g in enumerate(gens)]
+    pairs = [(g, (-1) ** i * (i + 1)) for i, g in enumerate(gens)]
     base = LinComb(2)
     for g, c in pairs:
         base.add_term(g, c)
@@ -102,11 +102,12 @@ SPARSE_SUMS = {
 @pytest.mark.parametrize("kind", sorted(SPARSE_SUMS))
 def test_sparse_sum_invariants(kind):
     make, key = SPARSE_SUMS[kind]
+    c = 3 if kind == "LinComb" else Fraction(3, 2)  # LinComb holds integers only
     s = make()
-    s.add_term(key, Fraction(3, 2))
+    s.add_term(key, c)
     s.add_term(key, 0)
-    assert s.terms == {key: Fraction(3, 2)}
-    s.add_term(key, Fraction(-3, 2))
+    assert s.terms == {key: c}
+    s.add_term(key, -c)
     assert s.terms == {} and s.is_zero() and len(s) == 0
     # equal terms in another class never compare equal
     s.add_term(key, 1)
@@ -188,7 +189,7 @@ def test_stuffle_swap_needs_adjacent():
 
 def test_expand_reversed_factors():
     g = Generator(2, (), (LiFactor((2, 1), (ConsProd(2, 2), ConsProd(1, 1))),))
-    out = expand_reversed_factors(LinComb(2, {g: Fraction(1)}))
+    out = Engine().canonicalize(LinComb(2, {g: 1}))
     assert out == stuffle_swap_depth2(1, 2, ConsProd(1, 1), ConsProd(2, 2), 2)
 
 
@@ -207,12 +208,33 @@ def test_ber_log_expansion_footnote_values():
 
 def test_serialization_roundtrip():
     lc = LinComb(2)
-    lc.add_term(make_generator(2, [(1, 1)], [LiFactor((2,), (ConsProd(2, 2, True),))]),
-                Fraction(-3, 2))
+    lc.add_term(make_generator(2, [(1, 1)], [LiFactor((2,), (ConsProd(2, 2, True),))]), -3)
     lc.add_term(li_generator(2, (1, 2), (ConsProd(1, 1), ConsProd(2, 2))), 4)
     data = lincomb_to_dict(lc)
     back = lincomb_from_dict(json.loads(json.dumps(data)))
     assert back == lc
+
+
+def test_lincomb_rejects_non_integer_coefficient():
+    g = ber_generator(1, 1, 2)
+    lc = LinComb(1)
+    lc.add_term(g, Fraction(4, 2))
+    lc.add_term(g, 1.0)
+    assert lc.terms == {g: 3} and type(lc.terms[g]) is int
+    for bad in (Fraction(1, 2), 0.5, "1/2"):
+        with pytest.raises(ValueError):
+            lc.add_term(g, bad)
+        with pytest.raises(ValueError):
+            lc.scale(bad)
+    with pytest.raises(ValueError):
+        LinComb(1, {g: Fraction(3, 2)})
+    assert lc.terms == {g: 3}
+    data = lincomb_to_dict(lc)
+    assert data["terms"][0]["coeff"] == "3"
+    for bad in ("3/2", "1.5", 1.5, 3):
+        data["terms"][0]["coeff"] = bad
+        with pytest.raises(ValueError):
+            lincomb_from_dict(data)
 
 
 def test_text_rendering_stable():
