@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -122,6 +121,8 @@ class EquationCache:
     def store(self, result: PliResult) -> None:
         self.dir.mkdir(parents=True, exist_ok=True)
         if not self._check_manifest():
+            for stale in self.dir.glob("pli_*.json"):
+                stale.unlink(missing_ok=True)
             tmp = self._manifest().with_suffix(".tmp")
             tmp.write_text(json.dumps({"engine_version": __version__}, indent=1))
             tmp.replace(self._manifest())

@@ -26,13 +26,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, to_fixed
 
 from .rationals import bernoulli_polynomial
-from .terms import ConsProd, Generator, LiFactor, LinComb, LogExpansion
+from .terms import ConsProd, Generator, LiFactor, LinComb, LogExpansion, li_generator
 from .words import li_to_word
 
 DEFAULT_DPS = 50
@@ -567,12 +567,15 @@ class VerifyReport:
 
 
 def verify_feq(index, equation: LinComb, num_samples: int, tol: float, ctx: EvalContext | None = None) -> VerifyReport:
-    """Check Li_n(z) - (-1)^{|n|_0} Li_n(1/z) == equation at sample points."""
+    """Check Li_n(z) - (-1)^{|n|_0} Li_n(1/z) == equation at sample points;
+    both sides are evaluated factor by factor through ``eval_lincomb``."""
     n = tuple(index)
     d = len(n)
     if ctx is None:
         ctx = EvalContext()
-    sign = (-1) ** (sum(n) - d)
+    parity = LinComb(d)
+    for inverted, c in ((False, 1), (True, -(-1) ** (sum(n) - d))):
+        parity.add_term(li_generator(d, n, [ConsProd(i, i, inverted) for i in range(1, d + 1)]), c)
     checks: list[SampleCheck] = []
     seed = 0
     produced = 0
@@ -581,14 +584,7 @@ def verify_feq(index, equation: LinComb, num_samples: int, tol: float, ctx: Eval
             point = sample_domain_point(d, seed)
             memo = ctx.point_memo(d, seed)
             with mp.workdps(ctx.dps + GUARD_DIGITS):
-                lhs_key = ("lhs", n)
-                lhs = memo.get(lhs_key)
-                if lhs is None:
-                    lhs_series = eval_li_series(n, point.z, ctx.target)
-                    lhs_inv = eval_li_inverse(n, point.z, ctx.integrator)
-                    lhs = HPComplex(lhs_series.value - sign * lhs_inv.value,
-                                    lhs_series.err + lhs_inv.err)
-                    memo[lhs_key] = lhs
+                lhs = eval_lincomb(parity, point.z, ctx, memo)
                 rhs = eval_lincomb(equation, point.z, ctx, memo)
                 err = float(abs(lhs.value - rhs.value))
             checks.append(SampleCheck(seed, err, lhs.err + rhs.err))

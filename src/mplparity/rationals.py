@@ -1,6 +1,7 @@
 """Exact rational arithmetic helpers: Bernoulli numbers and polynomials,
-signed binomial coefficients, a small dense polynomial over Fraction, and
-the sparse linear-combination type every exact algebra of the package uses.
+the exact value of ber_k at a root of unity, integer signed binomial
+coefficients, and the sparse linear-combination type every exact algebra
+of the package uses.
 
 Bernoulli convention: B_1 = B_1(0) = -1/2 (the generating function
 t*e^{xt}/(e^t - 1)).  All values are exact ``fractions.Fraction``.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 
 def binom(n: int, k: int) -> int:
@@ -20,20 +21,16 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def signed_binomial(a: int, k: int) -> Fraction:
+def signed_binomial(a: int, k: int) -> int:
     """Generalized binomial a(a-1)...(a-k+1)/k! for integer a (may be < 0).
 
     For a = -r this equals (-1)^k * C(r+k-1, k).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    num = 1
-    for j in range(k):
-        num *= a - j
-    den = 1
-    for j in range(2, k + 1):
-        den *= j
-    return Fraction(num, den)
+    if a >= 0:
+        return comb(a, k)
+    return (-1) ** k * comb(k - a - 1, k)
 
 
 # Bernoulli numbers via the convolution recurrence
@@ -75,15 +72,8 @@ class RatPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RatPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -100,44 +90,10 @@ class RatPolynomial:
                 parts.append(f"{c}*x^{i}")
         return "RatPolynomial(" + " + ".join(parts) + ")"
 
-    def __add__(self, other: "RatPolynomial") -> "RatPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return RatPolynomial(out)
-
-    def __sub__(self, other: "RatPolynomial") -> "RatPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "RatPolynomial":
-        return RatPolynomial([Fraction(c) * a for a in self.coeffs])
-
-    def __mul__(self, other: "RatPolynomial") -> "RatPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return RatPolynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPolynomial(out)
-
     def __call__(self, x):
         acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def compose_affine(self, a, b) -> "RatPolynomial":
-        """P(a*x + b) by Horner over polynomial arithmetic."""
-        a = Fraction(a)
-        b = Fraction(b)
-        lin = RatPolynomial([b, a])
-        acc = RatPolynomial(())
-        for c in reversed(self.coeffs):
-            acc = acc * lin + RatPolynomial([c])
         return acc
 
 
@@ -250,3 +206,11 @@ def bernoulli_polynomial(n: int) -> RatPolynomial:
     for k in range(n + 1):
         coeffs[n - k] = comb(n, k) * bernoulli_number(k)
     return RatPolynomial(coeffs)
+
+
+def ber_at_phase(k: int, t: Fraction) -> Fraction:
+    """The rational r with ber_k(e^{2 pi i t}) = r * (i*pi)^k on the
+    upper-half-plane branch (log(-e^{2 pi i t}) = i pi (2t - 1) for
+    0 <= t < 1):  r = 2^k B_k(t) / k!.  At t = 0 it reads B_k(0) = B_k."""
+    b = bernoulli_number(k) if t == 0 else bernoulli_polynomial(k)(t)
+    return b * 2 ** k / factorial(k)

@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple
 
-from .rationals import SparseSum, bernoulli_polynomial, binom, signed_binomial
-from .terms import ConsProd, Generator, LiFactor, LinComb, signed_sum_text
+from .rationals import SparseSum, ber_at_phase, bernoulli_polynomial, binom, signed_binomial
+from .terms import ConsProd, LinComb, signed_sum_text
 from . import words
 
 
@@ -146,16 +146,9 @@ def ber_at_root(k: int, zeta: RootOfUnity) -> tuple[Fraction, int]:
     """ber_k at a root of unity, as (rational, power) with value
     rational * (i*pi)^power.
 
-    With the upper-half-plane branch, log(-exp(2 pi i j/N)) = i pi (2j/N - 1)
-    uniformly in 0 <= j < N, so ber_k(zeta) = (2 pi i)^k / k! * B_k(j/N).
+    The rational is ``ber_at_phase(k, j/N)`` = 2^k B_k(j/N) / k!.
     """
-    if k == 0:
-        return Fraction(1), 0
-    val = bernoulli_polynomial(k)(zeta.phase())
-    fact = 1
-    for j in range(2, k + 1):
-        fact *= j
-    return val * (2 ** k) / fact, k
+    return ber_at_phase(k, zeta.phase()), k
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +252,6 @@ def specialize(result, roots) -> CzvCombination:
 # normalization
 
 
-def _even_zeta_ipi(k: int) -> Fraction:
-    """zeta(k) = coeff * (i*pi)^k for even k >= 2:  -2^k B_k / (2 * k!)."""
-    fact = 1
-    for j in range(2, k + 1):
-        fact *= j
-    from .rationals import bernoulli_number
-
-    return Fraction(-(2 ** k), 2 * fact) * bernoulli_number(k)
-
-
 def normalize_czv(c: CzvCombination) -> CzvCombination:
     """Canonical form: Li at -1 rewritten through zeta values where exact
     (Li_k(-1) = -(1-2^{1-k}) zeta(k), k >= 2), and even zeta values folded
@@ -287,7 +270,7 @@ def normalize_czv(c: CzvCombination) -> CzvCombination:
                 coeff = coeff * (-(1 - Fraction(2) ** (1 - k)))
                 root = ONE_ROOT
             if root == ONE_ROOT and k >= 2 and k % 2 == 0:
-                coeff = coeff * _even_zeta_ipi(k)
+                coeff = coeff * (-ber_at_phase(k, 0) / 2)  # zeta(k) = -ber_k(1)/2
                 ipi += k
             else:
                 factors.append(CzvFactor((k,), (root,)))
@@ -627,9 +610,9 @@ def czv_to_latex(c: CzvCombination) -> str:
 def eval_czv_combination(c: CzvCombination, dps: int = 40):
     import mpmath as mp
 
-    from .oracle import eval_czv
+    from .oracle import GUARD_DIGITS, eval_czv
 
-    with mp.workdps(dps + 10):
+    with mp.workdps(dps + GUARD_DIGITS):
         ipi = mp.pi * mp.mpc(0, 1)
         total = mp.mpc(0)
         values: dict = {}  # each distinct factor is evaluated once

@@ -20,9 +20,10 @@ keeps exact Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, NamedTuple
 
-from .rationals import SparseSum, bernoulli_number
+from .rationals import SparseSum, ber_at_phase
 
 
 class RewriteError(ValueError):
@@ -270,16 +271,10 @@ class LogExpansion(SparseSum):
 
 def _ber_log_pieces(k: int) -> list[tuple[int, int, Fraction]]:
     """ber_k(x) = sum over even j of c_j * (i*pi)^j * log^{k-j}(-x) with
-    c_j = (2^{1-j}-1) B_j 2^j / j! / (k-j)!  (B_1(1/2) = 0 kills odd j)."""
-    out = []
-    fact = [1] * (k + 1)
-    for i in range(2, k + 1):
-        fact[i] = fact[i - 1] * i
-    for j in range(0, k + 1, 2):
-        c = (Fraction(2) ** (1 - j) - 1) * bernoulli_number(j) * (2 ** j)
-        c /= fact[j] * fact[k - j]
-        out.append((j, k - j, c))
-    return out
+    c_j = ber_at_phase(j, 1/2) / (k-j)!, so c_j (i*pi)^j = ber_j(-1) / (k-j)!
+    (B_j(1/2) = 0 kills odd j)."""
+    half = Fraction(1, 2)
+    return [(j, k - j, ber_at_phase(j, half) / factorial(k - j)) for j in range(0, k + 1, 2)]
 
 
 def expand_ber_to_logs(lc: LinComb) -> LogExpansion:

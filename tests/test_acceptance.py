@@ -7,9 +7,8 @@ import time
 from fractions import Fraction
 
 import mpmath as mp
-import pytest
 
-from mplparity.cli import EquationCache, all_indices, compute_pli, main
+from mplparity.cli import all_indices, main
 from mplparity.engine import ENGINE, pli
 from mplparity.oracle import (
     EvalContext,
@@ -32,7 +31,6 @@ from mplparity.roots import (
     CzvFactor,
     bernoulli_identity_check,
     eval_czv_combination,
-    integrality_check,
     make_term,
     reduce_mzv_depth3,
     regularized_limit_factor,

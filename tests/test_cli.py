@@ -181,6 +181,10 @@ def test_cache_version_invalidation(tmp_path):
     manifest["engine_version"] = "0.0.0"
     (tmp_path / "c" / "manifest.json").write_text(json.dumps(manifest))
     assert cache.load((1, 2), "compact") is None
+    # storing under the new stamp must not bring the stale entry back
+    compute_pli((2, 1), "compact", cache)
+    assert cache.load((2, 1), "compact") is not None
+    assert cache.load((1, 2), "compact") is None
 
 
 def test_cache_rejects_entry_of_another_index(tmp_path):

@@ -22,7 +22,6 @@ from mplparity.oracle import (
     eval_lincomb,
     sample_domain_point,
 )
-from mplparity.rationals import binom
 from mplparity.terms import (
     ConsProd,
     LiFactor,

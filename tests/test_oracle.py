@@ -261,23 +261,6 @@ def test_czv_depth2_brute_double_sum():
             assert abs(got - brute) < 5e-4, (m, fr)
 
 
-def test_czv_peel2_unit_ratio_low_precision():
-    # y1*y2 = 1 makes the letter 1, which is decided from the exact phases,
-    # so the value holds at any working precision (below about 13 digits a
-    # float test once missed it)
-    cases = [
-        ((1, 2), (Fraction(1, 2), Fraction(1, 2))),
-        ((2, 2), (Fraction(1, 2), Fraction(1, 2))),
-        ((1, 2), (Fraction(1, 4), Fraction(3, 4))),
-    ]
-    for m, fr in cases:
-        with mp.workdps(30):
-            ref = eval_czv(m, fr)
-        with mp.workdps(10):
-            got = eval_czv(m, fr)
-        assert abs(got - ref) < 1e-10, (m, fr)
-
-
 def test_czv_depth3():
     with mp.workdps(30):
         # zeta(2,1,2) via the published-style reduction is not assumed; use

@@ -1,10 +1,13 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
+import mpmath as mp
 import pytest
 
+from mplparity.oracle import ber_value
 from mplparity.rationals import (
     RatPolynomial,
+    ber_at_phase,
     bernoulli_number,
     bernoulli_polynomial,
     binom,
@@ -55,7 +58,7 @@ def test_bernoulli_polynomial_via_series_oracle():
     # multiply by e^{xt}: coefficient of t^n is sum_k inv[k] x^{n-k}/(n-k)!
     for n in range(order + 1):
         coeffs = [inv[n - a] / fact[a] for a in range(n + 1)]
-        expected = RatPolynomial(coeffs).scale(fact[n])
+        expected = RatPolynomial([c * fact[n] for c in coeffs])
         assert bernoulli_polynomial(n) == expected
 
 
@@ -67,9 +70,27 @@ def test_half_argument_identity():
 
 
 def test_reflection_identity():
+    # B_n(1 - x) = (-1)^n B_n(x): both sides have degree n, so agreement at
+    # n + 1 distinct points decides the identity
     for n in range(21):
         p = bernoulli_polynomial(n)
-        assert p.compose_affine(-1, 1) == p.scale((-1) ** n)
+        for i in range(n + 1):
+            x = Fraction(i, n + 1)
+            assert p(1 - x) == (-1) ** n * p(x)
+
+
+def test_ber_at_phase_matches_numeric_ber():
+    with mp.workdps(50):
+        ipi = mp.pi * mp.mpc(0, 1)
+        for k in range(13):
+            for j in range(1, 12):
+                t = Fraction(j, 12)
+                r = ber_at_phase(k, t)
+                z = mp.expjpi(2 * mp.mpf(j) / 12)
+                exact = mp.mpf(r.numerator) / r.denominator * ipi ** k
+                assert abs(exact - ber_value(k, z)) < mp.mpf("1e-35")
+    for k in range(13):
+        assert ber_at_phase(k, Fraction(0)) == Fraction(2 ** k, factorial(k)) * bernoulli_number(k)
 
 
 def test_signed_binomial_values():

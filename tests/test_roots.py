@@ -17,7 +17,6 @@ from mplparity.roots import (
     alt_depth2,
     ber_at_root,
     bernoulli_identity_check,
-    czv_to_text,
     eval_czv_combination,
     integrality_check,
     make_term,
