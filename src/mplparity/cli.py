@@ -10,6 +10,7 @@ fractions k/N of the phase, never as floating point: 0/1 is 1, 1/2 is -1,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,14 +32,7 @@ from .roots import (
     specialize,
 )
 from .rationals import bernoulli_number, bernoulli_polynomial
-from .terms import (
-    gen_depth,
-    gen_weight,
-    lincomb_from_dict,
-    lincomb_to_latex,
-    lincomb_to_text,
-    validate_generator,
-)
+from .terms import lincomb_to_latex, lincomb_to_text
 
 CACHE_ENV = "MPLPARITY_CACHE"
 
@@ -71,62 +65,25 @@ def parse_roots(text: str, depth: int) -> tuple[RootOfUnity, ...]:
 
 
 class EquationCache:
-    """Directory of serialized equations keyed by index vector, stamped with
-    the engine version; a stale stamp invalidates every entry."""
+    """Directory of equation documents, one file per engine version, form
+    and index vector; files of another version are never read."""
 
     def __init__(self, directory: str | Path) -> None:
         self.dir = Path(directory)
 
-    def _manifest(self) -> Path:
-        return self.dir / "manifest.json"
-
-    def _entry(self, index, form: str) -> Path:
-        return self.dir / f"pli_{form}_{'_'.join(map(str, index))}.json"
-
-    def _check_manifest(self) -> bool:
-        try:
-            data = json.loads(self._manifest().read_text())
-        except (OSError, json.JSONDecodeError):
-            return False
-        return data.get("engine_version") == __version__
+    def entry(self, index, form: str) -> Path:
+        return self.dir / f"pli_{__version__}_{form}_{'_'.join(map(str, index))}.json"
 
     def load(self, index, form: str) -> PliResult | None:
-        if not self._check_manifest():
-            return None
-        path = self._entry(index, form)
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            text = self.entry(index, form).read_text()
+        except (OSError, UnicodeDecodeError):
             return None
-        # an entry stored for another index or form is a miss, not a hit
-        if (not isinstance(data, dict) or data.get("index") != list(index)
-                or data.get("form") != form):
-            return None
-        # so is one that breaks the equations' contract: integer
-        # coefficients, every term of weight |n| and depth <= d-1, and for
-        # the canonical form ordered, inversion-free arguments
-        try:
-            eq = lincomb_from_dict(data)
-        except (ValueError, KeyError, TypeError):
-            return None
-        w, d = sum(index), len(index)
-        if form == "canonical":
-            valid = all(validate_generator(g, d - 1, w) for g in eq.terms)
-        else:
-            valid = all(gen_weight(g) == w and gen_depth(g) < d for g in eq.terms)
-        if eq.ambient != d or not valid:
-            return None
-        return PliResult(tuple(index), eq, form)
+        return PliResult.from_document(text, index, form)
 
     def store(self, result: PliResult) -> None:
         self.dir.mkdir(parents=True, exist_ok=True)
-        if not self._check_manifest():
-            for stale in self.dir.glob("pli_*.json"):
-                stale.unlink(missing_ok=True)
-            tmp = self._manifest().with_suffix(".tmp")
-            tmp.write_text(json.dumps({"engine_version": __version__}, indent=1))
-            tmp.replace(self._manifest())
-        path = self._entry(result.index, result.form)
+        path = self.entry(result.index, result.form)
         tmp = path.with_suffix(".tmp")
         tmp.write_text(result.json_text)
         tmp.replace(path)
@@ -309,7 +266,10 @@ def cmd_bernoulli(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="mplparity",
         description=(

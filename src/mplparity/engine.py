@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .rationals import binom, signed_binomial
 from .terms import (
@@ -36,13 +35,19 @@ from .terms import (
     LinComb,
     RewriteError,
     ber_generator,
+    gen_depth,
+    gen_weight,
     invert_depth1,
     li_generator,
+    lincomb_from_dict,
     lincomb_to_dict,
     make_generator,
     sorted_generator,
     stuffle_swap_depth2,
+    validate_generator,
 )
+
+SCHEMA = "mplparity/lincomb-v1"
 
 
 # ---------------------------------------------------------------------------
@@ -339,28 +344,56 @@ def _ber1_part(lc: LinComb) -> LinComb:
     return out
 
 
+def _header(index: tuple[int, ...], form: str) -> dict:
+    """Every key of a ``SCHEMA`` document but its ``terms``."""
+    return {"schema": SCHEMA, "index": list(index), "form": form,
+            "weight": sum(index), "ambient": len(index)}
+
+
 @dataclass
 class PliResult:
     index: tuple[int, ...]
     equation: LinComb
     form: str  # "compact" | "canonical"
+    text: str | None = field(default=None, compare=False, repr=False)
 
     @property
     def weight(self) -> int:
         return sum(self.index)
 
     @property
-    def depth(self) -> int:
-        return len(self.index)
-
-    @cached_property
     def json_text(self) -> str:
-        """The ``mplparity/lincomb-v1`` document, built once per result: it is
-        both the equation-cache file and the ``--format json`` block."""
-        doc = {"schema": "mplparity/lincomb-v1", "index": list(self.index),
-               "form": self.form, "weight": self.weight}
-        doc.update(lincomb_to_dict(self.equation))
-        return json.dumps(doc, indent=1)
+        """The ``SCHEMA`` document, built once per result or kept as read: it
+        is both the equation-cache file and the ``--format json`` block."""
+        if self.text is None:
+            doc = _header(self.index, self.form)
+            doc.update(lincomb_to_dict(self.equation))
+            self.text = json.dumps(doc, indent=1)
+        return self.text
+
+    @classmethod
+    def from_document(cls, text: str, index, form: str) -> PliResult | None:
+        """The result a ``SCHEMA`` document holds, with ``text`` as its
+        document; None unless the header names exactly this index and form
+        and every term keeps the equations' contract: an integer
+        coefficient, weight |n| and depth <= d-1, and for the canonical form
+        ordered, inversion-free arguments."""
+        index = tuple(index)
+        header = _header(index, form)
+        try:
+            data = json.loads(text)
+            if not (isinstance(data, dict) and data.keys() == header.keys() | {"terms"}
+                    and all(data[k] == v for k, v in header.items())):
+                return None
+            eq = lincomb_from_dict(data)
+        except (ValueError, KeyError, TypeError):
+            return None
+        w, d = sum(index), len(index)
+        if form == "canonical":
+            valid = all(validate_generator(g, d - 1, w) for g in eq.terms)
+        else:
+            valid = all(gen_weight(g) == w and gen_depth(g) < d for g in eq.terms)
+        return cls(index, eq, form, text) if valid else None
 
 
 class Engine:

@@ -9,6 +9,7 @@ t*e^{xt}/(e^t - 1)).  All values are exact ``fractions.Fraction``.
 
 from __future__ import annotations
 
+import functools
 import threading
 from fractions import Fraction
 from math import comb, factorial
@@ -198,8 +199,10 @@ class SparseSum:
         return f"{type(self).__name__}({amb}{len(self.terms)} terms)"
 
 
+@functools.cache
 def bernoulli_polynomial(n: int) -> RatPolynomial:
-    """B_n(x) = sum_k C(n,k) B_k x^{n-k}, degree exactly n."""
+    """B_n(x) = sum_k C(n,k) B_k x^{n-k}, degree exactly n; built once per
+    degree and shared, as a ``RatPolynomial`` is immutable."""
     if n < 0:
         raise ValueError("n must be >= 0")
     coeffs = [Fraction(0)] * (n + 1)

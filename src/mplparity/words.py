@@ -130,18 +130,13 @@ def shuffle_reg_rewrite_reversed(sigmas: Iterable[Letter], tau: Letter, w: Word)
     """Reversed-word variant, for words of the form w_{s_r}...w_{s_1} w_tau w:
 
         sum_{k=0}^{r} (-1)^k [w_tau (w x w_{s_1}...w_{s_k})]  x  w_{s_r}...w_{s_{k+1}}
+
+    Reversing words reverses concatenation and preserves the shuffle
+    product, so this is ``shuffle_reg_rewrite`` of the reversed word with
+    every word of the result reversed.
     """
-    sig = tuple(sigmas)
-    r = len(sig)
-    out = WordSum()
-    for k in range(r + 1):
-        inner = shuffle(tuple(w), sig[:k])
-        headed = WordSum()
-        for wd, c in inner.terms.items():
-            headed.add_term((tau,) + wd, c)
-        piece = shuffle_sum(headed, tuple(reversed(sig[k:])))
-        out = out + piece.scale((-1) ** k)
-    return out
+    forward = shuffle_reg_rewrite(tuple(w)[::-1], tau, sigmas)
+    return WordSum({wd[::-1]: c for wd, c in forward.terms.items()})
 
 
 def li_to_word(indices, args, mul: Callable) -> Word:

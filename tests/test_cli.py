@@ -15,7 +15,7 @@ from mplparity.cli import (
     parse_roots,
     render_pli,
 )
-from mplparity import terms
+from mplparity import __version__, terms
 from mplparity.engine import ENGINE, pli
 from mplparity.terms import validate_generator
 
@@ -98,6 +98,10 @@ def test_numeric_options_only_on_numeric_commands(capsys):
         assert (args.prec, args.tol, args.samples) == (30, 1e-9, 3)
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_verify_command_small(capsys):
     code, out = run_cli(
         capsys, "verify", "--max-weight", "2", "--samples", "1", "--tol", "1e-9",
@@ -132,28 +136,26 @@ def test_table_and_cache_roundtrip(tmp_path, capsys, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("mplparity") and getattr(module, "lincomb_to_dict", None) is original:
             monkeypatch.setattr(module, "lincomb_to_dict", counting)
-    code, _ = run_cli(
-        capsys, "table", "--max-weight", "3", "--out", str(out_path),
-        "--format", "json", "--cache", str(cache_dir),
-    )
+    table = ("table", "--max-weight", "3", "--out", str(out_path),
+             "--format", "json", "--cache", str(cache_dir))
+    code, _ = run_cli(capsys, *table)
     assert code == 0
     assert len(calls) == 7  # one document per equation, shared by table and cache
-    monkeypatch.undo()
     entries = json.loads(out_path.read_text())
     assert len(entries) == 7
     first = out_path.read_bytes()
     # each cache file holds exactly that equation's block of the table
-    files = [cache_dir / f"pli_compact_{'_'.join(map(str, n))}.json" for n in all_indices(3)]
-    blocks = [p.read_bytes() for p in files]
-    assert first == b"[\n" + b",\n".join(blocks) + b"\n]\n"
-    # warm-cache rerun must be byte-identical
-    code, _ = run_cli(
-        capsys, "table", "--max-weight", "3", "--out", str(out_path),
-        "--format", "json", "--cache", str(cache_dir),
-    )
-    assert out_path.read_bytes() == first
-    # cache hits deserialize to the same equations
     cache = EquationCache(cache_dir)
+    blocks = [cache.entry(n, "compact").read_bytes() for n in all_indices(3)]
+    assert first == b"[\n" + b",\n".join(blocks) + b"\n]\n"
+    # warm-cache rerun must be byte-identical, and serves the documents it read
+    calls.clear()
+    code, _ = run_cli(capsys, *table)
+    assert code == 0
+    assert out_path.read_bytes() == first
+    assert len(calls) == 0
+    monkeypatch.undo()
+    # cache hits deserialize to the same equations
     for n in [(1,), (1, 2), (2, 1), (1, 1, 1)]:
         got = cache.load(n, "compact")
         assert got is not None
@@ -177,41 +179,47 @@ def test_cache_roundtrip_weight_le_4(tmp_path):
 def test_cache_version_invalidation(tmp_path):
     cache = EquationCache(tmp_path / "c")
     compute_pli((1, 2), "compact", cache)
-    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
-    manifest["engine_version"] = "0.0.0"
-    (tmp_path / "c" / "manifest.json").write_text(json.dumps(manifest))
+    entry = cache.entry((1, 2), "compact")
+    stale = entry.with_name(entry.name.replace(__version__, "0.0.0", 1))
+    assert stale != entry
+    entry.rename(stale)
     assert cache.load((1, 2), "compact") is None
-    # storing under the new stamp must not bring the stale entry back
+    # storing another entry must not bring the other version's one back
     compute_pli((2, 1), "compact", cache)
     assert cache.load((2, 1), "compact") is not None
     assert cache.load((1, 2), "compact") is None
+    assert stale.exists()
 
 
 def test_cache_rejects_entry_of_another_index(tmp_path):
     cache = EquationCache(tmp_path / "c")
     compute_pli((1, 2), "compact", cache)
-    src = tmp_path / "c" / "pli_compact_1_2.json"
-    dst = tmp_path / "c" / "pli_compact_2_1.json"
-    src.rename(dst)
+    dst = cache.entry((2, 1), "compact")
+    cache.entry((1, 2), "compact").rename(dst)
     assert cache.load((2, 1), "compact") is None
     result = compute_pli((2, 1), "compact", cache)
     assert result.equation == ENGINE.pli_lincomb((2, 1))
     assert json.loads(dst.read_text())["index"] == [2, 1]
     # an entry under the other form's name is a miss too
     compute_pli((1, 2), "compact", cache)
-    (tmp_path / "c" / "pli_compact_1_2.json").rename(tmp_path / "c" / "pli_canonical_1_2.json")
+    cache.entry((1, 2), "compact").rename(cache.entry((1, 2), "canonical"))
     assert cache.load((1, 2), "canonical") is None
 
 
-# a compact |n| = 3 term that breaks the contract in each way
+# a compact |n| = 3 document whose terms break the contract, or whose
+# header does not match the equation it is stored for, in each way
 CORRUPTIONS = {
-    "non-integer coefficient": lambda terms: terms[0].update(coeff="1/2"),
-    "wrong weight": lambda terms: terms.append(
+    "non-integer coefficient": lambda doc: doc["terms"][0].update(coeff="1/2"),
+    "wrong weight": lambda doc: doc["terms"].append(
         {"coeff": "1", "bers": [{"start": 1, "weight": 4}], "lis": []}),
-    "depth d": lambda terms: terms.append({"coeff": "1", "bers": [], "lis": [{
+    "depth d": lambda doc: doc["terms"].append({"coeff": "1", "bers": [], "lis": [{
         "indices": [1, 2],
         "args": [{"start": 1, "end": 1, "inverted": False},
                  {"start": 2, "end": 2, "inverted": False}]}]}),
+    "header schema": lambda doc: doc.update(schema="mplparity/lincomb-v0"),
+    "header weight": lambda doc: doc.update(weight=4),
+    "header extra key": lambda doc: doc.update(note="edited"),
+    "header no ambient": lambda doc: doc.pop("ambient"),
 }
 
 
@@ -222,11 +230,11 @@ def test_cache_recomputes_entry_that_breaks_the_contract(tmp_path, capsys, corru
     assert code == 0
     cache_dir = tmp_path / "c"
     code, _ = run_cli(capsys, *table, "--cache", str(cache_dir))
-    entry = cache_dir / "pli_compact_1_2.json"
-    data = json.loads(entry.read_text())
-    CORRUPTIONS[corruption](data["terms"])
-    entry.write_text(json.dumps(data, indent=1))
     cache = EquationCache(cache_dir)
+    entry = cache.entry((1, 2), "compact")
+    data = json.loads(entry.read_text())
+    CORRUPTIONS[corruption](data)
+    entry.write_text(json.dumps(data, indent=1))
     assert cache.load((1, 2), "compact") is None
     code, cached = run_cli(capsys, *table, "--cache", str(cache_dir))
     assert code == 0 and cached == uncached

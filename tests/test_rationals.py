@@ -40,6 +40,13 @@ def test_bernoulli_polynomial_small():
     assert bernoulli_polynomial(2) == RatPolynomial([Fraction(1, 6), -1, 1])
 
 
+def test_bernoulli_polynomial_is_built_once_per_degree():
+    p = bernoulli_polynomial(6)
+    assert bernoulli_polynomial(6) is p
+    assert p(Fraction(1, 2)) == Fraction(-31, 1344)
+    assert bernoulli_polynomial(6).coeffs == (Fraction(1, 42), 0, Fraction(-1, 2), 0, Fraction(5, 2), -3, 1)
+
+
 def test_bernoulli_polynomial_via_series_oracle():
     # expand t e^{xt}/(e^t - 1) to order t^n with exact rational series
     # arithmetic and compare coefficients of B_2(x)
