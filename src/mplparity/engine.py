@@ -374,10 +374,11 @@ class PliResult:
     @classmethod
     def from_document(cls, text: str, index, form: str) -> PliResult | None:
         """The result a ``SCHEMA`` document holds, with ``text`` as its
-        document; None unless the header names exactly this index and form
-        and every term keeps the equations' contract: an integer
-        coefficient, weight |n| and depth <= d-1, and for the canonical form
-        ordered, inversion-free arguments."""
+        document; None unless the header names exactly this index and form,
+        every listed term is a distinct nonzero term of the equation, and
+        every term keeps the equations' contract: an integer coefficient,
+        weight |n| and depth <= d-1, and for the canonical form ordered,
+        inversion-free arguments."""
         index = tuple(index)
         header = _header(index, form)
         try:
@@ -387,6 +388,8 @@ class PliResult:
                 return None
             eq = lincomb_from_dict(data)
         except (ValueError, KeyError, TypeError):
+            return None
+        if len(eq.terms) != len(data["terms"]):  # a repeated, cancelling or zero term
             return None
         w, d = sum(index), len(index)
         if form == "canonical":

@@ -1,8 +1,9 @@
 """High-precision numerical certification of the symbolic identities.
 
 Two methods, both in fixed point (Python integers scaled by 2^prec, prec =
-working precision + GUARD_DIGITS digits + GUARD_BITS bits), with only the
-result converted to mpmath:
+working precision + GUARD_DIGITS digits + GUARD_BITS bits; GUARD_BITS only
+for ``eval_czv``, whose callers add the digits), with only the result
+converted to mpmath:
 
   * nested truncated series, for Li at points whose tail products have
     modulus < 1 and for multiple polylogarithms at roots of unity, split by
@@ -645,7 +646,9 @@ def eval_czv(m, fracs, dps: int | None = None) -> mp.mpc:
     With p = 1/(1 + min(1, min |1-a|)) over the letters a != 1, every tail
     product in both families has modulus <= p, so one truncation M, fixed
     in advance, serves every G.  Letters are formed from the exact phases: a
-    letter is 1 exactly when its phase is 0, and 1-a is then the zero letter."""
+    letter is 1 exactly when its phase is 0, and 1-a is then the zero letter.
+    Sums run at the working precision + GUARD_BITS; callers such as
+    ``eval_czv_combination`` have already added GUARD_DIGITS."""
     m = tuple(int(x) for x in m)
     fracs = tuple(Fraction(f) % 1 for f in fracs)
     if dps is not None:
@@ -658,7 +661,7 @@ def eval_czv(m, fracs, dps: int | None = None) -> mp.mpc:
     phases = [None if letter.is_zero() else letter.arg
               for letter in li_to_word(m, [-f % 1 for f in fracs], lambda a, b: (a + b) % 1)]
     n = len(phases)
-    prec = _fixed_prec(mp.mp.dps)
+    prec = dps_to_prec(mp.mp.dps) + GUARD_BITS
     with mp.workprec(prec):
         word = [None if f is None else root_value(f) for f in phases]
         # letters other than 0 (None) and 1 (phase 0)

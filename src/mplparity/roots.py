@@ -20,7 +20,7 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 from .rationals import SparseSum, ber_at_phase, bernoulli_polynomial, binom, signed_binomial
-from .terms import ConsProd, LinComb, signed_sum_text
+from .terms import ConsProd, LiFactor, signed_sum_text
 from . import words
 
 
@@ -180,12 +180,9 @@ def regularized_limit_factor(m, roots) -> CzvCombination:
         return CzvCombination()
     tau = word[r]
     tail = word[r + 1:]
-    headed = words.WordSum()
-    for w, c in words.shuffle(tail, (one_letter,) * r).terms.items():
-        headed.add_term((tau,) + w, c)
     out = CzvCombination()
-    for w, c in headed.terms.items():
-        indices, letter_args = words.word_to_li(w, _root_div)
+    for w, c in words.shuffle(tail, (one_letter,) * r).terms.items():
+        indices, letter_args = words.word_to_li((tau,) + w, _root_div)
         final_roots = tuple(a.inv() for a in letter_args)
         if indices[-1] == 1 and final_roots[-1].is_one():
             raise DivergentHeadError("regularization produced a divergent symbol")
@@ -207,35 +204,34 @@ def _span_root(a: ConsProd, roots) -> RootOfUnity:
     return acc.inv() if a.inverted else acc
 
 
-def specialize_lincomb(eq: LinComb, roots) -> CzvCombination:
-    """Substitute roots left to right into a canonical (inversion-free)
-    equation, replacing each divergent Li factor by its regularized limit
-    and each Ber factor by its exact (i*pi)-power value."""
-    roots = tuple(roots)
-    if len(roots) != eq.ambient:
-        raise ValueError("one root per ambient variable required")
+def _substitute(items, rewrite) -> CzvCombination:
+    """Sum of the (term, coeff) items, a term being (ipi, ipow, factors), with
+    each factor replaced by ``rewrite(factor)``, a list of such items; each
+    distinct factor is rewritten once per call."""
+    memo: dict = {}
     out = CzvCombination()
-    ber_values: dict[tuple[int, int], CzvCombination] = {}  # per Ber factor
-    for g, c in eq.terms.items():
-        term = CzvCombination.constant(c)
-        for s, k in g.bers:
-            piece = ber_values.get((s, k))
-            if piece is None:
-                coeff, p = ber_at_root(k, _span_root(ConsProd(s, g.ambient), roots))
-                piece = ber_values[s, k] = CzvCombination()
-                piece.add_term(make_term(p, 0, ()), coeff)
-            term = term.mul(piece)
-        for f in g.lis:
-            argroots = tuple(_span_root(a, roots) for a in f.args)
-            term = term.mul(regularized_limit_factor(f.indices, argroots))
-        out += term
+    for (ipi, ipow, factors), coeff in items:
+        partial = [(ipi, ipow, (), coeff)]
+        for f in factors:
+            pieces = memo.get(f)
+            if pieces is None:
+                pieces = memo[f] = rewrite(f)
+            partial = [
+                (p + pp, q + pq, fs + pfs, c * pc)
+                for p, q, fs, c in partial
+                for (pp, pq, pfs), pc in pieces
+            ]
+        for p, q, fs, c in partial:
+            out.add_term(make_term(p, q, fs), c)
     return out
 
 
 def specialize(result, roots) -> CzvCombination:
     """Specialize a PliResult at roots of unity.  The head divergence
     (n_d, zeta_d) = (1, 1) is rejected; the equation is canonicalized
-    first so every factor has plain ordered arguments."""
+    first so every factor has plain ordered arguments.  One substitution
+    pass then puts in each Ber factor's exact (i*pi)-power value and each
+    Li factor's normalized regularized limit, once per distinct value."""
     from .engine import ENGINE
 
     roots = tuple(roots)
@@ -245,37 +241,55 @@ def specialize(result, roots) -> CzvCombination:
             f"PLi_{index} diverges at these roots: trailing (n_d, z_d) = (1, 1)"
         )
     eq = result.equation if result.form == "canonical" else ENGINE.canonicalize(result.equation)
-    return normalize_czv(specialize_lincomb(eq, roots))
+    if len(roots) != eq.ambient:
+        raise ValueError("one root per ambient variable required")
+    values: dict = {}  # spans whose root products agree share one value
+
+    def rewrite(f):
+        if not isinstance(f, LiFactor):
+            s, k = f
+            return [((k, 0, ()), ber_at_root(k, _span_root(ConsProd(s, eq.ambient), roots))[0])]
+        key = (f.indices, tuple(_span_root(a, roots) for a in f.args))
+        if key not in values:
+            values[key] = list(normalize_czv(regularized_limit_factor(*key)).terms.items())
+        return values[key]
+
+    return _substitute((((0, 0, g.bers + g.lis), c) for g, c in eq.terms.items()), rewrite)
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
 
+def _normal_factor(f: CzvFactor):
+    if f.part or len(f.indices) != 1:
+        return [((0, 0, (f,)), 1)]
+    k = f.indices[0]
+    root = f.roots[0]
+    coeff = Fraction(1)
+    if root == MINUS_ONE and k >= 2:
+        coeff = -(1 - Fraction(2) ** (1 - k))
+        root = ONE_ROOT
+    if root == ONE_ROOT and k >= 2 and k % 2 == 0:
+        return [((k, 0, ()), coeff * (-ber_at_phase(k, 0) / 2))]  # zeta(k) = -ber_k(1)/2
+    return [((0, 0, (CzvFactor((k,), (root,)),)), coeff)]
+
+
 def normalize_czv(c: CzvCombination) -> CzvCombination:
     """Canonical form: Li at -1 rewritten through zeta values where exact
     (Li_k(-1) = -(1-2^{1-k}) zeta(k), k >= 2), and even zeta values folded
     into (i*pi)-powers so depth-0 parts compare exactly."""
-    out = CzvCombination()
-    for t, coeff in c.terms.items():
-        factors: list[CzvFactor] = []
-        ipi = t.ipi
-        for f in t.factors:
-            if f.part or len(f.indices) != 1:
-                factors.append(f)
-                continue
-            k = f.indices[0]
-            root = f.roots[0]
-            if root == MINUS_ONE and k >= 2:
-                coeff = coeff * (-(1 - Fraction(2) ** (1 - k)))
-                root = ONE_ROOT
-            if root == ONE_ROOT and k >= 2 and k % 2 == 0:
-                coeff = coeff * (-ber_at_phase(k, 0) / 2)  # zeta(k) = -ber_k(1)/2
-                ipi += k
-            else:
-                factors.append(CzvFactor((k,), (root,)))
-        out.add_term(make_term(ipi, t.ipow, factors), coeff)
-    return out
+    return _substitute(c.terms.items(), _normal_factor)
+
+
+def _real_imag_factor(f: CzvFactor):
+    if f.part or len(f.indices) != 1 or f.roots[0] in (ONE_ROOT, MINUS_ONE):
+        return [((0, 0, (f,)), 1)]
+    k = f.indices[0]
+    root = f.roots[0]
+    bcoeff, bp = ber_at_root(k, root)
+    part, ipow = ("im", 1) if k % 2 == 0 else ("re", 0)
+    return [((bp, 0, ()), -bcoeff / 2), ((0, ipow, (CzvFactor((k,), (root,), part),)), 1)]
 
 
 def render_real_imag(c: CzvCombination) -> CzvCombination:
@@ -285,30 +299,7 @@ def render_real_imag(c: CzvCombination) -> CzvCombination:
       k even:  Li_k(z) = -ber_k(z)/2 + i Im Li_k(z)
       k odd:   Li_k(z) =  Re Li_k(z) - ber_k(z)/2
     """
-    out = CzvCombination()
-    for t, coeff in c.terms.items():
-        acc = CzvCombination()
-        acc.add_term(make_term(t.ipi, t.ipow, ()), coeff)
-        for f in t.factors:
-            if f.part or len(f.indices) != 1 or f.roots[0] in (ONE_ROOT, MINUS_ONE):
-                single = CzvCombination()
-                single.add_term(make_term(0, 0, (f,)), 1)
-                acc = acc.mul(single)
-                continue
-            k = f.indices[0]
-            root = f.roots[0]
-            bcoeff, bp = ber_at_root(k, root)
-            split = CzvCombination()
-            split.add_term(make_term(bp, 0, ()), -bcoeff / 2)
-            part = "im" if k % 2 == 0 else "re"
-            split.add_term(
-                make_term(0, 1 if part == "im" else 0,
-                          (CzvFactor((k,), (root,), part),)),
-                1,
-            )
-            acc = acc.mul(split)
-        out += acc
-    return out
+    return _substitute(c.terms.items(), _real_imag_factor)
 
 
 # ---------------------------------------------------------------------------

@@ -293,14 +293,8 @@ def expand_ber_to_logs(lc: LinComb) -> LogExpansion:
                     logs2 = logs + ((start, p),) if p else logs
                     nxt.append((ipi + j, logs2, c * cj))
             pieces = nxt
-        for ipi, logs, c in pieces:
-            merged: dict[int, int] = {}
-            for s, p in logs:
-                merged[s] = merged.get(s, 0) + p
-            key = LogGenerator(
-                lc.ambient, ipi, tuple(sorted(merged.items())), g.lis
-            )
-            out.add_term(key, c)
+        for ipi, logs, c in pieces:  # g.bers is sorted with distinct starts
+            out.add_term(LogGenerator(lc.ambient, ipi, logs, g.lis), c)
     return out
 
 
@@ -345,9 +339,10 @@ def lincomb_from_dict(data: dict) -> LinComb:
             for f in t["lis"]
         ]
         coeff = t["coeff"]
-        if not isinstance(coeff, str):
-            raise ValueError(f"coefficient {coeff!r} is not an integer string")
-        out.add_term(make_generator(amb, bers, lis), int(coeff))
+        c = int(coeff) if isinstance(coeff, str) else None
+        if c is None or str(c) != coeff:
+            raise ValueError(f"coefficient {coeff!r} is not an integer as str() writes it")
+        out.add_term(make_generator(amb, bers, lis), c)
     return out
 
 

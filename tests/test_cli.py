@@ -206,8 +206,9 @@ def test_cache_rejects_entry_of_another_index(tmp_path):
     assert cache.load((1, 2), "canonical") is None
 
 
-# a compact |n| = 3 document whose terms break the contract, or whose
-# header does not match the equation it is stored for, in each way
+# a compact |n| = 3 document whose terms break the contract, are not the
+# writer's encoding of an equation, or whose header does not match the
+# equation it is stored for, in each way
 CORRUPTIONS = {
     "non-integer coefficient": lambda doc: doc["terms"][0].update(coeff="1/2"),
     "wrong weight": lambda doc: doc["terms"].append(
@@ -220,6 +221,11 @@ CORRUPTIONS = {
     "header weight": lambda doc: doc.update(weight=4),
     "header extra key": lambda doc: doc.update(note="edited"),
     "header no ambient": lambda doc: doc.pop("ambient"),
+    "duplicate term": lambda doc: doc["terms"].append(doc["terms"][0]),
+    "cancelling pair": lambda doc: doc["terms"].extend(
+        [doc["terms"][0], dict(doc["terms"][0], coeff=str(-int(doc["terms"][0]["coeff"])))]),
+    "zero coefficient": lambda doc: doc["terms"].append(dict(doc["terms"][1], coeff="0")),
+    "coefficient spelling": lambda doc: doc["terms"][0].update(coeff="+" + doc["terms"][0]["coeff"]),
 }
 
 
@@ -253,6 +259,23 @@ def test_table_weight_6_is_pinned(capsys, form):
     code, out = run_cli(capsys, "table", "--max-weight", "6", "--format", "json", "--form", form)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[form]
+
+
+# SHA-256 of the reduce output for every depth-3 index of weight <= 6 at
+# (1/3, 1/4, 1/6), as the per-term product specialization printed it
+REDUCE_SHA256 = "f978803a5db9c2d815d6a4b8487d42a4a2a9ad0f0cb31af3062cbcedbe3b1ce8"
+
+
+def test_reduce_is_pinned(capsys):
+    out = []
+    for n in all_indices(6):
+        if len(n) == 3:
+            code, text = run_cli(capsys, "reduce", ",".join(map(str, n)),
+                                 "--roots", "1/3,1/4,1/6", "--format", "json")
+            assert code == 0
+            out.append(text)
+    assert len(out) == 20
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == REDUCE_SHA256
 
 
 def test_bernoulli_command(capsys):

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import dps_to_prec
 
 from mplparity.engine import ENGINE
 from mplparity.oracle import (
+    GUARD_BITS,
     DomainError,
     EvalContext,
     HyperlogIntegrator,
@@ -364,6 +366,25 @@ def test_czv_precision_independent():
         with mp.workdps(60):
             got = eval_czv(m, fr, dps=10)
             assert abs(got - ref) < 1e-10, (m, fr)
+
+
+def test_czv_guards_the_working_precision_once(monkeypatch):
+    # eval_czv_combination has already added GUARD_DIGITS, so eval_czv adds
+    # only GUARD_BITS
+    from mplparity import oracle
+
+    precs = []
+    original = oracle._prefix_levels
+
+    def recording(ys, ms, M, prec):
+        precs.append(prec)
+        return original(ys, ms, M, prec)
+
+    monkeypatch.setattr(oracle, "_prefix_levels", recording)
+    with mp.workdps(40):
+        got = eval_czv((1, 2), (Fraction(0), Fraction(0)))
+        assert abs(got - mp.zeta(3)) < 1e-38
+    assert precs and set(precs) == {dps_to_prec(40) + GUARD_BITS}
 
 
 # eval_czv at 40 digits, one case per input shape that once had its own

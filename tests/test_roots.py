@@ -279,6 +279,26 @@ def test_parity_real_imaginary_invariant():
             assert abs(mp.re(val)) < 1e-24, (n, roots)
 
 
+def test_specialize_values_each_distinct_factor_once(monkeypatch):
+    # in (2,1,2) at (1/3, 1/4, 1/6) many terms share an Li factor, and
+    # distinct spans can share a root product
+    from mplparity import roots as roots_module
+
+    calls = []
+    original = roots_module.regularized_limit_factor
+
+    def counting(m, rts):
+        calls.append((tuple(m), tuple(rts)))
+        return original(m, rts)
+
+    rts = tuple(RootOfUnity.make(1, N) for N in (3, 4, 6))
+    expected = specialize(pli((2, 1, 2), "canonical"), rts)
+    monkeypatch.setattr(roots_module, "regularized_limit_factor", counting)
+    got = specialize(pli((2, 1, 2), "canonical"), rts)
+    assert got == expected
+    assert len(calls) == len(set(calls)) > 0
+
+
 def test_render_real_imag():
     combo = specialize(pli((1, 2)), (ONE_ROOT, IMAG_I))
     rendered = render_real_imag(combo)

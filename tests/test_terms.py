@@ -231,7 +231,7 @@ def test_lincomb_rejects_non_integer_coefficient():
     assert lc.terms == {g: 3}
     data = lincomb_to_dict(lc)
     assert data["terms"][0]["coeff"] == "3"
-    for bad in ("3/2", "1.5", 1.5, 3):
+    for bad in ("3/2", "1.5", 1.5, 3, "+3", "03", "3_0", " 3"):
         data["terms"][0]["coeff"] = bad
         with pytest.raises(ValueError):
             lincomb_from_dict(data)
