@@ -24,7 +24,6 @@ holds ``int``s and raises ``ValueError`` on anything else.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 
 from .rationals import binom, signed_binomial
@@ -185,23 +184,6 @@ def diff_z1(lc: LinComb) -> DiffExpr:
     return DiffExpr(pole_free, pole_one, other)
 
 
-def z1_log_derivative(lc: LinComb) -> LinComb:
-    """The operator z_1 * d/dz_1, for inputs whose image stays in the module
-    (every z_1-bearing Li head index must exceed 1)."""
-    out = LinComb(lc.ambient)
-    for g, c in lc.terms.items():
-        k, head = _z1_parts(g)
-        if k >= 1:
-            out.add_term(_with_ber1(g, k - 1), c)
-        if head is not None:
-            f = g.lis[head]
-            if f.indices[0] == 1:
-                raise RewriteError("z d/dz leaves the module on a weight-one head")
-            newf = LiFactor((f.indices[0] - 1,) + f.indices[1:], f.args)
-            out.add_term(_replace_li(g, head, newf), c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -258,22 +240,6 @@ def primitive_z1(e: DiffExpr) -> LinComb:
         _primitive_z1_term(g, c, out)
     for g, c in e.pole_one.terms.items():
         _primitive_one_term(g, c, out)
-    return out
-
-
-def iterated_primitive(k: int, factor: LiFactor, r: int, ambient: int) -> LinComb:
-    """r-fold (dz_1/z_1)-primitive of ber_k(z_{1,N}) Li_n(args):
-
-        sum_{mu=0}^{k} C(-r, mu) ber_{k-mu}(z_{1,N}) Li_{n + (r+mu) e_1}(args)
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    out = LinComb(ambient)
-    for mu in range(k + 1):
-        coeff = signed_binomial(-r, mu)
-        newf = LiFactor((factor.indices[0] + r + mu,) + factor.indices[1:], factor.args)
-        bers = ((1, k - mu),) if k - mu > 0 else ()
-        out.add_term(make_generator(ambient, bers, (newf,)), coeff)
     return out
 
 
@@ -400,23 +366,17 @@ class PliResult:
 
 
 class Engine:
-    """Memoized computation of the depth-reduced functional equations.
-
-    Results for distinct keys may be computed concurrently; memo writes
-    are idempotent (the same key always produces the same LinComb)."""
+    """Memoized computation of the depth-reduced functional equations."""
 
     def __init__(self) -> None:
         self._compact: dict[tuple[int, ...], LinComb] = {}
         self._canonical: dict[tuple[int, ...], LinComb] = {}
         self._rewrites: dict[tuple[LiFactor, int], LinComb] = {}
-        self._lock = threading.Lock()
 
     def _memoized(self, table: dict, key, compute) -> LinComb:
         got = table.get(key)
         if got is None:
-            got = compute(key)
-            with self._lock:
-                got = table.setdefault(key, got)
+            got = table.setdefault(key, compute(key))
         return got
 
     # -- compact form ------------------------------------------------------

@@ -15,8 +15,8 @@ converted to mpmath:
     nested primitives F_k(t) = int_0^t F_{k-1}(s) ds/(s - sigma_k).
 
 Error bounds are heuristic but conservative (a geometric tail estimate for
-the series, order-escalation differences for the quadrature); they are
-reported alongside every value.
+the series, the decay of the top Legendre coefficients of each integrand
+for the quadrature); they are reported alongside every value.
 """
 
 from __future__ import annotations
@@ -226,15 +226,18 @@ def eval_li_series(indices, values, target: float = 1e-30) -> HPComplex:
 
 
 class _GaussData(NamedTuple):
-    """Gauss-Legendre data of one order in fixed point: every entry is an
+    """Gauss-Legendre data of one order q in fixed point: every entry is an
     integer v standing for v / 2^prec.  ``cum[i][j]`` integrates the
-    degree-(order-1) interpolant's cardinal L_j from -1 to node i."""
+    degree-(q-1) interpolant's cardinal L_j from -1 to node i.  The rows
+    ``modal[k][j] = (2m+1)/2 w_j P_m(x_j)``, m = q-1-k, dotted with node
+    values, give the Legendre coefficients c_{q-1} and c_{q-2}."""
 
     order: int
     prec: int
     nodes: tuple
     weights: tuple
     cum: tuple
+    modal: tuple
 
 
 def _legendre_pair(q: int, x: int, prec: int) -> tuple[int, int]:
@@ -295,7 +298,9 @@ def _gauss_data(order: int, prec: int) -> _GaussData:
     for i in range((q + 1) // 2, q):
         mirror = cum[q - 1 - i][::-1]
         cum.append([w - c for w, c in zip(weights, mirror)])
-    return _GaussData(q, prec, nodes, weights, tuple(tuple(row) for row in cum))
+    modal = tuple(tuple((2 * m + 1) * w * p >> (prec + 1) for w, p in zip(weights, P[m]))
+                  for m in (q - 1, q - 2))
+    return _GaussData(q, prec, nodes, weights, tuple(tuple(row) for row in cum), modal)
 
 
 class HyperlogIntegrator:
@@ -303,18 +308,19 @@ class HyperlogIntegrator:
     (letters left to right, rightmost letter integrated innermost).
 
     Panels are refined until every nonzero letter is at distance at least
-    0.9 * panel length; the error estimate compares two spectral orders.
-    The sweeps run in fixed point at the working precision plus
-    ``GUARD_BITS``; the Gauss data of each (order, precision) is shared by
-    every integrator.
+    0.9 * panel length, so each integrand is analytic in a Bernstein ellipse
+    around its panel and its Legendre coefficients decay geometrically: the
+    top two coefficients of one sweep bound that sweep's error (Trefethen,
+    *Approximation Theory and Approximation Practice*, ch. 8).  The sweep
+    runs in fixed point at the working precision plus ``GUARD_BITS``; the
+    Gauss data of each (order, precision) is shared by every integrator.
     """
 
     def __init__(self, dps: int, order: int | None = None) -> None:
         self.dps = dps
-        self.order = order if order is not None else dps + 16
+        self.order = order if order is not None else dps + 26
         self.prec = _fixed_prec(dps)
-        self._lo = _gauss_data(self.order, self.prec)
-        self._hi = _gauss_data(self.order + 10, self.prec)
+        self._gauss = _gauss_data(self.order, self.prec)
 
     def _panels(self, letters) -> list[tuple[mp.mpf, mp.mpf]]:
         sing = [s for s in letters if s != 0]
@@ -349,14 +355,17 @@ class HyperlogIntegrator:
         out.sort(key=lambda p: p[0])
         return out
 
-    def _sweep(self, letters, panels, gauss: _GaussData) -> mp.mpc:
-        """Value of the word; letters are (re, im) and panels (a, b) pairs
-        in fixed point at ``gauss.prec``.  Each row of the cumulative matrix,
-        and the weights after them, meet the panel values in one integer dot
+    def _sweep(self, letters, panels) -> tuple[mp.mpc, float]:
+        """Value of the word and its error estimate, the sum over every
+        level and panel of |c_{q-1}| + |c_{q-2}| of the integrand's real and
+        imaginary parts.  Letters are (re, im) and panels (a, b) pairs in
+        fixed point at ``self.prec``.  Each row of the cumulative matrix, the
+        weights and the modal rows meet the panel values in one integer dot
         product with one shift."""
+        gauss = self._gauss
         prec = gauss.prec
         q = gauss.order
-        rows = gauss.cum + (gauss.weights,)
+        rows = gauss.cum + (gauss.weights,) + gauss.modal
         # per letter and panel, the kernel half / (t_j - sigma) at the nodes
         kernels = {}
         for sr, si in set(letters):
@@ -373,7 +382,7 @@ class HyperlogIntegrator:
             kernels[sr, si] = per_panel
         one = 1 << prec
         fvals = [([one] * q, [0] * q) for _ in panels]
-        left_r = left_i = 0
+        left_r = left_i = est = 0
         for sig in reversed(letters):
             left_r = left_i = 0
             new = []
@@ -385,8 +394,9 @@ class HyperlogIntegrator:
                 new.append(([left_r + v for v in ir[:q]], [left_i + v for v in ii[:q]]))
                 left_r += ir[q]
                 left_i += ii[q]
+                est += abs(ir[q + 1]) + abs(ir[q + 2]) + abs(ii[q + 1]) + abs(ii[q + 2])
             fvals = new
-        return _from_fixed(left_r, left_i, prec)
+        return _from_fixed(left_r, left_i, prec), est / (1 << prec)
 
     def word_value(self, letters) -> HPComplex:
         letters = [mp.mpc(s) for s in letters]
@@ -394,9 +404,8 @@ class HyperlogIntegrator:
         with mp.workdps(self.dps + GUARD_DIGITS):
             panels = [(_to_fixed(a, prec), _to_fixed(b, prec)) for a, b in self._panels(letters)]
             fixed = [_fixed(s, prec) for s in letters]
-            lo = self._sweep(fixed, panels, self._lo)
-            hi = self._sweep(fixed, panels, self._hi)
-            return HPComplex(hi, float(abs(hi - lo)) + 10.0 ** (-min(self.dps + 2, 300)))
+            value, est = self._sweep(fixed, panels)
+            return HPComplex(value, 10 * est + 10.0 ** (-min(self.dps + 2, 300)))
 
 
 def li_word_letters(indices, base_values) -> list:
@@ -550,6 +559,7 @@ class VerifyReport:
     max_error: float
     passed: bool
     checks: list[SampleCheck]
+    skipped: list[tuple[int, str]] = field(default_factory=list)  # (seed, reason)
     heuristic_bounds: bool = True
 
     def to_dict(self) -> dict:
@@ -564,12 +574,15 @@ class VerifyReport:
                 {"seed": c.seed, "abs_error": c.abs_error, "bound": c.bound}
                 for c in self.checks
             ],
+            "skipped": [{"seed": seed, "reason": reason} for seed, reason in self.skipped],
         }
 
 
 def verify_feq(index, equation: LinComb, num_samples: int, tol: float, ctx: EvalContext | None = None) -> VerifyReport:
     """Check Li_n(z) - (-1)^{|n|_0} Li_n(1/z) == equation at sample points;
-    both sides are evaluated factor by factor through ``eval_lincomb``."""
+    both sides are evaluated factor by factor through ``eval_lincomb``.  A
+    seed whose point cannot be sampled or evaluated is skipped, and the
+    report lists it with the reason."""
     n = tuple(index)
     d = len(n)
     if ctx is None:
@@ -578,6 +591,7 @@ def verify_feq(index, equation: LinComb, num_samples: int, tol: float, ctx: Eval
     for inverted, c in ((False, 1), (True, -(-1) ** (sum(n) - d))):
         parity.add_term(li_generator(d, n, [ConsProd(i, i, inverted) for i in range(1, d + 1)]), c)
     checks: list[SampleCheck] = []
+    skipped: list[tuple[int, str]] = []
     seed = 0
     produced = 0
     while produced < num_samples:
@@ -590,13 +604,14 @@ def verify_feq(index, equation: LinComb, num_samples: int, tol: float, ctx: Eval
                 err = float(abs(lhs.value - rhs.value))
             checks.append(SampleCheck(seed, err, lhs.err + rhs.err))
             produced += 1
-        except (DomainError, PrecisionError):
-            pass
+        except (DomainError, PrecisionError) as exc:
+            skipped.append((seed, f"{type(exc).__name__}: {exc}"))
         seed += 1
         if seed > num_samples + 50:
-            raise PrecisionError(f"verification for {n} keeps failing to sample")
+            reasons = "; ".join(f"seed {s}: {r}" for s, r in skipped)
+            raise PrecisionError(f"verification for {n} keeps failing to sample ({reasons})")
     max_err = max(c.abs_error for c in checks)
-    return VerifyReport(n, num_samples, tol, max_err, max_err <= tol, checks)
+    return VerifyReport(n, num_samples, tol, max_err, max_err <= tol, checks, skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ t*e^{xt}/(e^t - 1)).  All values are exact ``fractions.Fraction``.
 from __future__ import annotations
 
 import functools
-import threading
 from fractions import Fraction
 from math import comb, factorial
 
@@ -36,10 +35,7 @@ def signed_binomial(a: int, k: int) -> int:
 
 # Bernoulli numbers via the convolution recurrence
 #   sum_{k=0}^{n} C(n+1, k) B_k = 0  (n >= 1),  B_0 = 1.
-# The cache only ever grows and entries are immutable, so concurrent readers
-# are safe; the lock serializes extension.
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
-_cache_lock = threading.Lock()
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -48,13 +44,12 @@ def bernoulli_number(n: int) -> Fraction:
         raise ValueError("n must be >= 0")
     if n < len(_bernoulli_cache):
         return _bernoulli_cache[n]
-    with _cache_lock:
-        while len(_bernoulli_cache) <= n:
-            m = len(_bernoulli_cache)
-            acc = Fraction(0)
-            for k in range(m):
-                acc += comb(m + 1, k) * _bernoulli_cache[k]
-            _bernoulli_cache.append(-acc / (m + 1))
+    while len(_bernoulli_cache) <= n:
+        m = len(_bernoulli_cache)
+        acc = Fraction(0)
+        for k in range(m):
+            acc += comb(m + 1, k) * _bernoulli_cache[k]
+        _bernoulli_cache.append(-acc / (m + 1))
     return _bernoulli_cache[n]
 
 

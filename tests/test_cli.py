@@ -278,6 +278,21 @@ def test_reduce_is_pinned(capsys):
     assert hashlib.sha256("".join(out).encode()).hexdigest() == REDUCE_SHA256
 
 
+# SHA-256 of the (index, seed, abs_error) triples of verify at weight <= 3,
+# as the two-sweep quadrature computed them; the bounds are left out
+VERIFY_SHA256 = "6b2749dff047f27e3db41413ebcf16f1e2e4d545e8e732f1294f6d37f849390b"
+
+
+def test_verify_errors_are_pinned(capsys):
+    code, out = run_cli(capsys, "verify", "--max-weight", "3", "--samples", "2",
+                        "--prec", "30", "--format", "json")
+    assert code == 0
+    triples = [[r["index"], c["seed"], c["abs_error"]]
+               for r in json.loads(out)["reports"] for c in r["checks"]]
+    assert len(triples) == 14
+    assert hashlib.sha256(json.dumps(triples).encode()).hexdigest() == VERIFY_SHA256
+
+
 def test_bernoulli_command(capsys):
     code, out = run_cli(capsys, "bernoulli", "12")
     assert code == 0 and out.strip() == "-691/2730"

@@ -9,12 +9,10 @@ from mplparity.engine import (
     Engine,
     diff_z1,
     embed,
-    iterated_primitive,
     pli,
     primitive_z1,
     reglim_z1,
     suffix_spans,
-    z1_log_derivative,
 )
 from mplparity.oracle import (
     EvalContext,
@@ -132,32 +130,6 @@ def test_primitive_reproduces_weight_n_plus_one_equation():
         li_generator(2, (n + 1,), (ConsProd(2, 2, True),)), n * (-1) ** n
     )
     assert eq == expected
-
-
-def test_iterated_primitive_roundtrip():
-    # applying (z_1 d/dz_1)^r recovers ber_k Li_n exactly
-    for r in (1, 2, 3):
-        for k in (0, 1, 2, 3):
-            factor = LiFactor((2, 1), (ConsProd(1, 1), ConsProd(2, 2)))
-            prim = iterated_primitive(k, factor, r, 2)
-            cur = prim
-            for _ in range(r):
-                cur = z1_log_derivative(cur)
-            bers = [(1, k)] if k else []
-            assert cur == LinComb(
-                2, {make_generator(2, bers, [factor]): Fraction(1)}
-            ), (r, k)
-
-
-def test_iterated_primitive_r1_matches_single_primitive():
-    factor = LiFactor((1,), (ConsProd(1, 2),))
-    for k in range(4):
-        one = iterated_primitive(k, factor, 1, 2)
-        bers = [(1, k)] if k else []
-        e = DiffExpr(
-            LinComb.single(make_generator(2, bers, [factor])), LinComb(2), {}
-        )
-        assert one == primitive_z1(e)
 
 
 # -- the z_1 -> 0 expansion --------------------------------------------------

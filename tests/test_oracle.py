@@ -10,8 +10,10 @@ from mplparity.oracle import (
     DomainError,
     EvalContext,
     HyperlogIntegrator,
+    PrecisionError,
     _fixed_prec,
     _gauss_data,
+    _legendre_pair,
     _power_sums,
     _prefix_levels,
     _ray_distance,
@@ -150,13 +152,60 @@ def test_gauss_data_integrates_polynomials(q):
 
 def test_gauss_data_shared_per_order_and_precision():
     a, b = HyperlogIntegrator(30), HyperlogIntegrator(30)
-    assert a._lo is b._lo and a._hi is b._hi and a is not b
-    assert a._lo is not a._hi
+    assert a._gauss is b._gauss and a is not b
+    assert a._gauss.order == a.order == 56
     lo, hi = HyperlogIntegrator(25), HyperlogIntegrator(45)
-    assert lo._lo is not hi._lo and lo._hi is not hi._hi
+    assert lo._gauss is not hi._gauss
     # same order, other precision: its own entry
     c, d = HyperlogIntegrator(15, order=8), HyperlogIntegrator(20, order=8)
-    assert c._lo.order == d._lo.order and c._lo is not d._lo
+    assert c._gauss.order == d._gauss.order and c._gauss is not d._gauss
+
+
+@pytest.mark.parametrize("q", [8, 56])
+def test_gauss_modal_rows_give_legendre_coefficients(q):
+    # the node values of P_{q-1} have the coefficients (c_{q-1}, c_{q-2}) =
+    # (1, 0), and those of P_{q-2} have (0, 1)
+    prec = HyperlogIntegrator(30).prec
+    g = _gauss_data(q, prec)
+    one = 1 << prec
+    tol = 1 << 8  # 2^-(prec-8), in units of 2^-prec
+    for m, expected in ((q - 1, (one, 0)), (q - 2, (0, one))):
+        values = [_legendre_pair(m, x, prec)[0] for x in g.nodes]
+        for row, want in zip(g.modal, expected):
+            assert abs((sum(t * v for t, v in zip(row, values)) >> prec) - want) <= tol, (m, want)
+
+
+def test_word_value_runs_one_sweep(monkeypatch):
+    sweeps = []
+    original = HyperlogIntegrator._sweep
+
+    def counting(self, letters, panels):
+        sweeps.append(len(letters))
+        return original(self, letters, panels)
+
+    monkeypatch.setattr(HyperlogIntegrator, "_sweep", counting)
+    integ = HyperlogIntegrator(30)
+    y = mp.mpc("-0.6", "0.2")
+    for n in (1, 2, 3):
+        eval_li_inverse((n,), [y], integ)
+    assert sweeps == [1, 2, 3]
+
+
+def test_quadrature_error_bound_holds():
+    # the reported err of one sweep, taken from the top Legendre coefficients,
+    # is at least the actual error against an order-110 evaluation at 70 digits
+    ref_integ = HyperlogIntegrator(70, order=110)
+    integs = [HyperlogIntegrator(30, order=q) for q in (10, 16, 24)] + [HyperlogIntegrator(30)]
+    words = [li_word_letters(n, sample_domain_point(len(n), seed).z)
+             for n in ((2,), (1, 2), (2, 1, 1)) for seed in range(3)]
+    with mp.workdps(50):
+        words.append(li_word_letters((2, 1), [mp.mpc("-0.35", "0.15"), mp.mpc("0.5", "0.6")]))
+    with mp.workdps(80):
+        for letters in words:
+            ref = ref_integ.word_value(letters).value
+            for integ in integs:
+                got = integ.word_value(letters)
+                assert abs(got.value - ref) <= got.err, (letters, integ.order)
 
 
 def test_ber_value_examples():
@@ -212,6 +261,28 @@ def test_verify_feq_report_shape():
     assert rep.passed and rep.samples == 2
     d = rep.to_dict()
     assert d["index"] == [1, 2] and len(d["checks"]) == 2
+    assert d["skipped"] == []
+
+
+def test_verify_feq_reports_skipped_samples(monkeypatch):
+    from mplparity import oracle
+
+    original = oracle.sample_domain_point
+
+    def failing_at_0(d, seed):
+        if seed == 0:
+            raise DomainError("no point here")
+        return original(d, seed)
+
+    monkeypatch.setattr(oracle, "sample_domain_point", failing_at_0)
+    rep = verify_feq((1, 2), ENGINE.pli_lincomb((1, 2)), 2, 1e-10, EvalContext(dps=30))
+    assert rep.passed and [c.seed for c in rep.checks] == [1, 2]
+    assert rep.skipped == [(0, "DomainError: no point here")]
+    assert rep.to_dict()["skipped"] == [{"seed": 0, "reason": "DomainError: no point here"}]
+    # giving up names every skipped seed's reason
+    monkeypatch.setattr(oracle, "sample_domain_point", lambda d, seed: failing_at_0(d, 0))
+    with pytest.raises(PrecisionError, match="seed 52: DomainError: no point here"):
+        verify_feq((1, 2), ENGINE.pli_lincomb((1, 2)), 2, 1e-10, EvalContext(dps=30))
 
 
 # -- root-of-unity series ----------------------------------------------------
