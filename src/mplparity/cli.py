@@ -266,6 +266,14 @@ def cmd_bernoulli(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     def numeric(p):
         p.add_argument("--prec", type=int, default=50, help="working precision digits")
         p.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
-        p.add_argument("--samples", type=int, default=5, help="verification sample points")
+        p.add_argument("--samples", type=positive_int, default=5, help="verification sample points")
 
     p = sub.add_parser("feq", help="compute the functional equation for one index")
     p.add_argument("index", help="comma-separated index vector, n_1 first")
@@ -308,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify", help="verify all equations up to a weight bound")
-    p.add_argument("--max-weight", type=int, required=True)
+    p.add_argument("--max-weight", type=positive_int, required=True)
     common(p, with_form=False)
     numeric(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="emit all equations up to a weight bound")
-    p.add_argument("--max-weight", type=int, required=True)
+    p.add_argument("--max-weight", type=positive_int, required=True)
     p.add_argument("--out", default=None, help="output file (default stdout)")
     common(p)
     p.set_defaults(func=cmd_table)

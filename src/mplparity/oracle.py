@@ -230,7 +230,15 @@ class _GaussData(NamedTuple):
     integer v standing for v / 2^prec.  ``cum[i][j]`` integrates the
     degree-(q-1) interpolant's cardinal L_j from -1 to node i.  The rows
     ``modal[k][j] = (2m+1)/2 w_j P_m(x_j)``, m = q-1-k, dotted with node
-    values, give the Legendre coefficients c_{q-1} and c_{q-2}."""
+    values, give the Legendre coefficients c_{q-1} and c_{q-2}.
+
+    The nodes come in +- pairs, so in exact integers ``weights`` is a
+    palindrome and ``cum[i][j] + cum[q-1-i][q-1-j] == weights[j]`` for every
+    row i but the middle one of odd q: the first h = ceil(q/2) rows A of
+    ``cum`` determine the rest.  ``fold`` holds, per row a of A, the pair
+    (a + rev(a), a - rev(a)) cut to its first h and q // 2 entries, the
+    middle column of the first doubled when q is odd; ``_sweep`` meets them
+    with g + rev(g) and g - rev(g) and reads ``fold``, not ``cum``."""
 
     order: int
     prec: int
@@ -238,6 +246,7 @@ class _GaussData(NamedTuple):
     weights: tuple
     cum: tuple
     modal: tuple
+    fold: tuple
 
 
 def _legendre_pair(q: int, x: int, prec: int) -> tuple[int, int]:
@@ -300,7 +309,15 @@ def _gauss_data(order: int, prec: int) -> _GaussData:
         cum.append([w - c for w, c in zip(weights, mirror)])
     modal = tuple(tuple((2 * m + 1) * w * p >> (prec + 1) for w, p in zip(weights, P[m]))
                   for m in (q - 1, q - 2))
-    return _GaussData(q, prec, nodes, weights, tuple(tuple(row) for row in cum), modal)
+    # rows a of A as (a + rev(a), a - rev(a)); the middle column of odd q
+    # meets g_mid once, so it is doubled like the pairs
+    m = q // 2
+    fold = []
+    for row in cum[:q - m]:
+        pairs = list(zip(row[:m], reversed(row)))
+        fold.append((tuple([a + b for a, b in pairs] + [2 * c for c in row[m:q - m]]),
+                     tuple(a - b for a, b in pairs)))
+    return _GaussData(q, prec, nodes, weights, tuple(tuple(row) for row in cum), modal, tuple(fold))
 
 
 class HyperlogIntegrator:
@@ -359,13 +376,36 @@ class HyperlogIntegrator:
         """Value of the word and its error estimate, the sum over every
         level and panel of |c_{q-1}| + |c_{q-2}| of the integrand's real and
         imaginary parts.  Letters are (re, im) and panels (a, b) pairs in
-        fixed point at ``self.prec``.  Each row of the cumulative matrix, the
-        weights and the modal rows meet the panel values in one integer dot
-        product with one shift."""
+        fixed point at ``self.prec``.
+
+        Each integrand g is split into s = g + rev(g) and t = g - rev(g),
+        cut as the rows of ``_GaussData.fold`` (S, D) are.  Row i < ceil(q/2)
+        of the cumulative matrix gives A_i.g = (S_i.s + D_i.t) / 2, and row
+        q-1-i gives W.g - A_i.rev(g) = W.g - (S_i.s - D_i.t) / 2, with W.g
+        the folded weights against s: about q^2/2 multiplies per integrand
+        instead of q^2.  S_i.s + D_i.t and S_i.s - D_i.t are even, so every
+        integer before its shift equals the unfolded dot product's, and the
+        result is bit-identical to it.  The modal rows meet g at full length."""
         gauss = self._gauss
         prec = gauss.prec
         q = gauss.order
-        rows = gauss.cum + (gauss.weights,) + gauss.modal
+        m = q // 2
+        weights = gauss.weights[:q - m]
+
+        def integrate(g):
+            """Shifted cumulative integrals at the q nodes, the total and
+            |c_{q-1}| + |c_{q-2}| of one integrand."""
+            s = [a + b for a, b in zip(g[:m], reversed(g))] + g[m:q - m]
+            t = [a - b for a, b in zip(g[:m], reversed(g))]
+            total = sum(map(mul, weights, s))
+            lower, upper = [], []
+            for S, D in gauss.fold:
+                ss, dt = sum(map(mul, S, s)), sum(map(mul, D, t))
+                lower.append((ss + dt) >> (prec + 1))
+                upper.append((2 * total - ss + dt) >> (prec + 1))
+            modal = sum(abs(sum(map(mul, row, g)) >> prec) for row in gauss.modal)
+            return lower + upper[m - 1::-1], total >> prec, modal
+
         # per letter and panel, the kernel half / (t_j - sigma) at the nodes
         kernels = {}
         for sr, si in set(letters):
@@ -387,14 +427,12 @@ class HyperlogIntegrator:
             left_r = left_i = 0
             new = []
             for (kr, ki), (fr, fi) in zip(kernels[sig], fvals):
-                gr = [(a * c - b * d) >> prec for a, b, c, d in zip(fr, fi, kr, ki)]
-                gi = [(a * d + b * c) >> prec for a, b, c, d in zip(fr, fi, kr, ki)]
-                ir = [sum(map(mul, row, gr)) >> prec for row in rows]
-                ii = [sum(map(mul, row, gi)) >> prec for row in rows]
-                new.append(([left_r + v for v in ir[:q]], [left_i + v for v in ii[:q]]))
-                left_r += ir[q]
-                left_i += ii[q]
-                est += abs(ir[q + 1]) + abs(ir[q + 2]) + abs(ii[q + 1]) + abs(ii[q + 2])
+                cr, tr, er = integrate([(a * c - b * d) >> prec for a, b, c, d in zip(fr, fi, kr, ki)])
+                ci, ti, ei = integrate([(a * d + b * c) >> prec for a, b, c, d in zip(fr, fi, kr, ki)])
+                new.append(([left_r + v for v in cr], [left_i + v for v in ci]))
+                left_r += tr
+                left_i += ti
+                est += er + ei
             fvals = new
         return _from_fixed(left_r, left_i, prec), est / (1 << prec)
 
@@ -583,6 +621,8 @@ def verify_feq(index, equation: LinComb, num_samples: int, tol: float, ctx: Eval
     both sides are evaluated factor by factor through ``eval_lincomb``.  A
     seed whose point cannot be sampled or evaluated is skipped, and the
     report lists it with the reason."""
+    if num_samples <= 0:
+        raise ValueError(f"verification needs at least one sample, got {num_samples}")
     n = tuple(index)
     d = len(n)
     if ctx is None:

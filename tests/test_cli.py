@@ -98,6 +98,23 @@ def test_numeric_options_only_on_numeric_commands(capsys):
         assert (args.prec, args.tol, args.samples) == (30, 1e-9, 3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-weight", "0"],
+    ["verify", "--max-weight", "-1"],
+    ["verify", "--max-weight", "2", "--samples", "0"],
+    ["verify", "--max-weight", "2", "--samples", "-3"],
+    ["feq", "1,2", "--verify", "--samples", "0"],
+    ["table", "--max-weight", "0"],
+    ["table", "--max-weight", "-2"],
+])
+def test_counts_must_be_positive(capsys, argv):
+    # an empty sweep is a usage error, not a traceback from max() of nothing
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from operator import mul
 
 import mpmath as mp
 import pytest
@@ -7,16 +9,20 @@ from mpmath.libmp import dps_to_prec
 from mplparity.engine import ENGINE
 from mplparity.oracle import (
     GUARD_BITS,
+    GUARD_DIGITS,
     DomainError,
     EvalContext,
     HyperlogIntegrator,
     PrecisionError,
+    _fixed,
     _fixed_prec,
+    _from_fixed,
     _gauss_data,
     _legendre_pair,
     _power_sums,
     _prefix_levels,
     _ray_distance,
+    _to_fixed,
     ber_value,
     eval_czv,
     eval_generator,
@@ -175,6 +181,86 @@ def test_gauss_modal_rows_give_legendre_coefficients(q):
             assert abs((sum(t * v for t, v in zip(row, values)) >> prec) - want) <= tol, (m, want)
 
 
+@pytest.mark.parametrize("q", [7, 8, 56, 57])
+def test_gauss_data_fold_is_exact(q):
+    # the mirror identities the folded sweep rests on hold in exact integers,
+    # and the folded rows give every row of cum dotted with an integrand.
+    # The middle row of odd q is its own mirror and is computed directly, so
+    # there the identity holds only to rounding; the fold never uses it.
+    g = _gauss_data(q, HyperlogIntegrator(30).prec)
+    m, h = q // 2, (q + 1) // 2
+    assert g.weights == g.weights[::-1]
+    for i in range(q):
+        for j in range(q):
+            gap = g.cum[i][j] + g.cum[q - 1 - i][q - 1 - j] - g.weights[j]
+            assert gap == 0 if 2 * i != q - 1 else abs(gap) <= 1 << 8, (i, j)
+    assert len(g.fold) == h
+    rng = random.Random(q)
+    vec = [rng.randrange(-(1 << 140), 1 << 140) for _ in range(q)]
+    s = [a + b for a, b in zip(vec[:m], reversed(vec))] + vec[m:h]
+    t = [a - b for a, b in zip(vec[:m], reversed(vec))]
+    total = sum(map(mul, g.weights, vec))
+    assert sum(map(mul, g.weights[:h], s)) == total
+    for i, (S, D) in enumerate(g.fold):
+        assert (len(S), len(D)) == (h, m)
+        ss, dt = sum(map(mul, S, s)), sum(map(mul, D, t))
+        assert (ss + dt) % 2 == 0
+        assert (ss + dt) // 2 == sum(map(mul, g.cum[i], vec)), i
+        if i < m:
+            assert total - (ss - dt) // 2 == sum(map(mul, g.cum[q - 1 - i], vec)), i
+
+
+def _unfolded_sweep(integ, letters):
+    """The sweep without the mirror fold: every one of the q + 3 rows of
+    cum, weights and modal meets each integrand in its own dot product."""
+    gauss, prec = integ._gauss, integ.prec
+    q = gauss.order
+    rows = gauss.cum + (gauss.weights,) + gauss.modal
+    with mp.workdps(integ.dps + GUARD_DIGITS):
+        letters = [mp.mpc(s) for s in letters]
+        panels = [(_to_fixed(a, prec), _to_fixed(b, prec)) for a, b in integ._panels(letters)]
+        fixed = [_fixed(s, prec) for s in letters]
+    fvals = [([1 << prec] * q, [0] * q) for _ in panels]
+    left_r = left_i = est = 0
+    for sr, si in reversed(fixed):
+        left_r = left_i = 0
+        new = []
+        for (a, b), (fr, fi) in zip(panels, fvals):
+            half, mid = (b - a) >> 1, (a + b) >> 1
+            gr, gi = [], []
+            for x, vr, vi in zip(gauss.nodes, fr, fi):
+                dr = mid + (half * x >> prec) - sr
+                den = dr * dr + si * si
+                kr, ki = (half * dr << prec) // den, (half * si << prec) // den
+                gr.append((vr * kr - vi * ki) >> prec)
+                gi.append((vr * ki + vi * kr) >> prec)
+            ir = [sum(map(mul, row, gr)) >> prec for row in rows]
+            ii = [sum(map(mul, row, gi)) >> prec for row in rows]
+            new.append(([left_r + v for v in ir[:q]], [left_i + v for v in ii[:q]]))
+            left_r += ir[q]
+            left_i += ii[q]
+            est += abs(ir[q + 1]) + abs(ir[q + 2]) + abs(ii[q + 1]) + abs(ii[q + 2])
+        fvals = new
+    return _from_fixed(left_r, left_i, prec), est / (1 << prec)
+
+
+@pytest.mark.parametrize("q", [9, 12, 56])
+def test_folded_sweep_is_bit_identical(q):
+    integ = HyperlogIntegrator(30, order=q)
+    with mp.workdps(50):
+        words = [li_word_letters(n, sample_domain_point(len(n), seed).z)
+                 for n, seed in (((1,), 0), ((3,), 1), ((1, 2), 2), ((2, 1, 1), 3))]
+    assert any(s == 0 for w in words for s in w)
+    for letters in words:
+        with mp.workdps(integ.dps + GUARD_DIGITS):
+            panels = [(_to_fixed(a, integ.prec), _to_fixed(b, integ.prec))
+                      for a, b in integ._panels([mp.mpc(s) for s in letters])]
+            fixed = [_fixed(mp.mpc(s), integ.prec) for s in letters]
+        value, est = integ._sweep(fixed, panels)
+        ref_value, ref_est = _unfolded_sweep(integ, letters)
+        assert value._mpc_ == ref_value._mpc_ and est == ref_est, letters
+
+
 def test_word_value_runs_one_sweep(monkeypatch):
     sweeps = []
     original = HyperlogIntegrator._sweep
@@ -262,6 +348,12 @@ def test_verify_feq_report_shape():
     d = rep.to_dict()
     assert d["index"] == [1, 2] and len(d["checks"]) == 2
     assert d["skipped"] == []
+
+
+@pytest.mark.parametrize("num_samples", [0, -1])
+def test_verify_feq_needs_a_sample(num_samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        verify_feq((1, 2), ENGINE.pli_lincomb((1, 2)), num_samples, 1e-10, EvalContext(dps=30))
 
 
 def test_verify_feq_reports_skipped_samples(monkeypatch):
