@@ -266,12 +266,19 @@ def cmd_bernoulli(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def int_at_least(least: int, what: str):
+    """argparse type of an integer that must be at least ``least``; a
+    smaller one is a usage error that says it "must be ``what``"."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    parse.__name__ = "int"  # a non-integer reads "invalid int value", as with type=int
+    return parse
+
+
+positive_int = int_at_least(1, "a positive integer")
 
 
 @functools.cache
@@ -296,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", default=None, help=f"equation cache directory (or ${CACHE_ENV})")
 
     def numeric(p):
-        p.add_argument("--prec", type=int, default=50, help="working precision digits")
+        p.add_argument("--prec", type=int_at_least(30, "at least 30"), default=50,
+                       help="working precision digits")
         p.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
         p.add_argument("--samples", type=positive_int, default=5, help="verification sample points")
 
@@ -328,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("bernoulli", help="print a Bernoulli number or polynomial")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int_at_least(0, "a non-negative integer"))
     p.add_argument("--polynomial", action="store_true")
     p.set_defaults(func=cmd_bernoulli)
 
@@ -337,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "prec", 50) < 30:
-        raise SystemExit("--prec must be at least 30")
     return args.func(args)
 
 

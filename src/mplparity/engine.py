@@ -95,27 +95,6 @@ def suffix_spans(d: int, start: int) -> tuple[ConsProd, ...]:
 # z_1 differentiation
 
 
-@dataclass
-class DiffExpr:
-    """Exact z_1-derivative of a LinComb, organized by denominator:
-
-    ``pole_free``  -- coefficient of 1/z_1,
-    ``pole_one``   -- coefficient of 1/(1-z_1)  (the basis element
-                      z_{2,1}/(1-z_{1,1}) with j = 1),
-    ``other``      -- coefficients of z_{2,j}/(1-z_{1,j}) for j >= 2; these
-                      must cancel for any engine-produced input.
-    """
-
-    pole_free: LinComb
-    pole_one: LinComb
-    other: dict[int, LinComb]
-
-    def assert_supported(self) -> None:
-        for j, lc in self.other.items():
-            if not lc.is_zero():
-                raise RewriteError(f"derivative has an unreduced pole at z_1...z_{j} = 1")
-
-
 def _z1_parts(g: Generator):
     """(ber weight at start 1 or 0, index of the Li factor containing z_1)."""
     k = 0
@@ -145,19 +124,18 @@ def _replace_li(g: Generator, idx: int, new: LiFactor | None) -> Generator:
     return make_generator(g.ambient, g.bers, lis)
 
 
-def diff_z1(lc: LinComb) -> DiffExpr:
-    """Termwise exact z_1-derivative.  Every contribution lands on one of
-    the rational prefactors 1/z_1 or z_{2,j}/(1-z_{1,j})."""
+def diff_z1(lc: LinComb) -> tuple[LinComb, LinComb]:
+    """Termwise exact z_1-derivative as (pole_free, pole_one), the
+    coefficients of 1/z_1 and of 1/(1-z_1): the pair ``primitive_z1``
+    integrates.  Contributions on z_{2,j}/(1-z_{1,j}) with j >= 2 must
+    cancel for any engine-produced input; one that survives raises
+    ``RewriteError``."""
     n = lc.ambient
     pole_free = LinComb(n)
-    pole_one = LinComb(n)
-    other: dict[int, LinComb] = {}
+    poles: dict[int, LinComb] = {}
 
-    def add_other(j: int, g: Generator, c) -> None:
-        if j == 1:
-            pole_one.add_term(g, c)
-        else:
-            other.setdefault(j, LinComb(n)).add_term(g, c)
+    def add_pole(j: int, g: Generator, c) -> None:
+        poles.setdefault(j, LinComb(n)).add_term(g, c)
 
     for g, c in lc.terms.items():
         k, head = _z1_parts(g)
@@ -171,7 +149,7 @@ def diff_z1(lc: LinComb) -> DiffExpr:
             newf = LiFactor((f.indices[0] - 1,) + f.indices[1:], f.args)
             pole_free.add_term(_replace_li(g, head, newf), c)
         elif f.depth == 1:
-            add_other(j, _replace_li(g, head, None), c)
+            add_pole(j, _replace_li(g, head, None), c)
         else:
             if f.args[0].end + 1 != f.args[1].start:
                 raise RewriteError(f"gapped head factor {f} cannot be differentiated")
@@ -179,9 +157,13 @@ def diff_z1(lc: LinComb) -> DiffExpr:
             merged = ConsProd(1, f.args[1].end)
             fsecond = LiFactor(f.indices[1:], (merged,) + f.args[2:])
             pole_free.add_term(_replace_li(g, head, fsecond), -c)
-            add_other(j, _replace_li(g, head, fprime), c)
-            add_other(j, _replace_li(g, head, fsecond), -c)
-    return DiffExpr(pole_free, pole_one, other)
+            add_pole(j, _replace_li(g, head, fprime), c)
+            add_pole(j, _replace_li(g, head, fsecond), -c)
+    pole_one = poles.pop(1, LinComb(n))
+    for j, pole in poles.items():
+        if not pole.is_zero():
+            raise RewriteError(f"derivative has an unreduced pole at z_1...z_{j} = 1")
+    return pole_free, pole_one
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +214,12 @@ def _primitive_one_term(g: Generator, c: int, out: LinComb) -> None:
         out.add_term(make_generator(n, base.bers, (f4,) + base.lis), -sgn)
 
 
-def primitive_z1(e: DiffExpr) -> LinComb:
-    """Termwise d/dz_1-primitive of e.pole_free/z_1 + e.pole_one/(1-z_1)."""
-    e.assert_supported()
-    out = LinComb(e.pole_free.ambient)
-    for g, c in e.pole_free.terms.items():
+def primitive_z1(pole_free: LinComb, pole_one: LinComb) -> LinComb:
+    """Termwise d/dz_1-primitive of pole_free/z_1 + pole_one/(1-z_1)."""
+    out = LinComb(pole_free.ambient)
+    for g, c in pole_free.terms.items():
         _primitive_z1_term(g, c, out)
-    for g, c in e.pole_one.terms.items():
+    for g, c in pole_one.terms.items():
         _primitive_one_term(g, c, out)
     return out
 
@@ -324,10 +305,6 @@ class PliResult:
     text: str | None = field(default=None, compare=False, repr=False)
 
     @property
-    def weight(self) -> int:
-        return sum(self.index)
-
-    @property
     def json_text(self) -> str:
         """The ``SCHEMA`` document, built once per result or kept as read: it
         is both the equation-cache file and the ``--format json`` block."""
@@ -409,10 +386,10 @@ class Engine:
             z1num.add_term(li_zpp, -1)
             z1num.add_term(li_inv, -sign)
             unum = p_prime - p_second
-            f = primitive_z1(DiffExpr(z1num, unum, {}))
+            f = primitive_z1(z1num, unum)
         else:
             e = self.pli_lincomb((n[0] - 1,) + n[1:])
-            f = primitive_z1(DiffExpr(e, LinComb(d), {}))
+            f = primitive_z1(e, LinComb(d))
         keep, logs = _split_log_shape(f)
         rall = reglim_z1(n).scale(-((-1) ** (sum(n) - d)))
         # Both carry the same divergent (ber-at-start-1) content; the

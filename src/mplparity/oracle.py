@@ -81,10 +81,6 @@ def _ray_distance(w) -> float:
 class SamplePoint(NamedTuple):
     z: tuple  # mpc values z_1..z_d
 
-    @property
-    def depth(self) -> int:
-        return len(self.z)
-
 
 def sample_domain_point(d: int, seed: int) -> SamplePoint:
     """Deterministic pseudo-random point with every consecutive product
@@ -119,13 +115,9 @@ def _fixed_prec(dps: int) -> int:
     return dps_to_prec(dps + GUARD_DIGITS) + GUARD_BITS
 
 
-def _to_fixed(x: mp.mpf, prec: int) -> int:
-    return to_fixed(x._mpf_, prec)
-
-
 def _fixed(z, prec: int) -> tuple[int, int]:
     z = mp.mpc(z)
-    return _to_fixed(z.real, prec), _to_fixed(z.imag, prec)
+    return to_fixed(z.real._mpf_, prec), to_fixed(z.imag._mpf_, prec)
 
 
 def _from_fixed(re: int, im: int, prec: int) -> mp.mpc:
@@ -339,37 +331,27 @@ class HyperlogIntegrator:
         self.prec = _fixed_prec(dps)
         self._gauss = _gauss_data(self.order, self.prec)
 
-    def _panels(self, letters) -> list[tuple[mp.mpf, mp.mpf]]:
-        sing = [s for s in letters if s != 0]
-        panels = [(mp.mpf(0), mp.mpf(1))]
+    def _panels(self, letters) -> list[tuple[int, int]]:
+        """Dyadic panels (a, b) of [0, 1] in fixed point at ``self.prec``,
+        ascending, for (re, im) fixed-point letters.  A panel is halved
+        while it is longer than 1/4 or some nonzero letter lies closer to
+        it than 0.9 (b - a), tested exactly as 100 dist^2 < 81 (b - a)^2."""
+        prec = self.prec
+        sing = [s for s in letters if s != (0, 0)]
+        panels = [(0, 1 << prec)]
         out = []
         while panels:
             a, b = panels.pop()
             ln = b - a
-            if ln > mp.mpf("0.25"):
-                mid = (a + b) / 2
-                panels.extend([(a, mid), (mid, b)])
-                continue
-            need_split = False
-            for s in sing:
-                x, y = mp.re(s), mp.im(s)
-                if x < a:
-                    dist = mp.sqrt((x - a) ** 2 + y * y)
-                elif x > b:
-                    dist = mp.sqrt((x - b) ** 2 + y * y)
-                else:
-                    dist = abs(y)
-                if dist < mp.mpf("0.9") * ln:
-                    need_split = True
-                    break
-            if need_split:
-                if ln < mp.mpf("1e-7"):
+            if ln > 1 << (prec - 2) or any(
+                    100 * (max(a - x, x - b, 0) ** 2 + y * y) < 81 * ln * ln for x, y in sing):
+                if ln < 1 << (prec - 23):
                     raise DomainError("integration letter too close to [0,1]")
-                mid = (a + b) / 2
+                mid = (a + b) >> 1
                 panels.extend([(a, mid), (mid, b)])
             else:
                 out.append((a, b))
-        out.sort(key=lambda p: p[0])
+        out.sort()
         return out
 
     def _sweep(self, letters, panels) -> tuple[mp.mpc, float]:
@@ -438,11 +420,9 @@ class HyperlogIntegrator:
 
     def word_value(self, letters) -> HPComplex:
         letters = [mp.mpc(s) for s in letters]
-        prec = self.prec
         with mp.workdps(self.dps + GUARD_DIGITS):
-            panels = [(_to_fixed(a, prec), _to_fixed(b, prec)) for a, b in self._panels(letters)]
-            fixed = [_fixed(s, prec) for s in letters]
-            value, est = self._sweep(fixed, panels)
+            fixed = [_fixed(s, self.prec) for s in letters]
+            value, est = self._sweep(fixed, self._panels(fixed))
             return HPComplex(value, 10 * est + 10.0 ** (-min(self.dps + 2, 300)))
 
 

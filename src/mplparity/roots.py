@@ -155,10 +155,6 @@ def ber_at_root(k: int, zeta: RootOfUnity) -> tuple[Fraction, int]:
 # regularized limits (trailing argument -> 1)
 
 
-def _root_div(a: RootOfUnity, b: RootOfUnity) -> RootOfUnity:
-    return a.mul(b.inv())
-
-
 def regularized_limit_factor(m, roots) -> CzvCombination:
     """Value of Li_m at the given roots: the plain (convergent) value as a
     symbol, or, when the trailing entry is (1, 1), the constant coefficient
@@ -182,7 +178,7 @@ def regularized_limit_factor(m, roots) -> CzvCombination:
     tail = word[r + 1:]
     out = CzvCombination()
     for w, c in words.shuffle(tail, (one_letter,) * r).terms.items():
-        indices, letter_args = words.word_to_li((tau,) + w, _root_div)
+        indices, letter_args = words.word_to_li((tau,) + w, lambda a, b: a.mul(b.inv()))
         final_roots = tuple(a.inv() for a in letter_args)
         if indices[-1] == 1 and final_roots[-1].is_one():
             raise DivergentHeadError("regularization produced a divergent symbol")

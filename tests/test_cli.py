@@ -17,6 +17,13 @@ from mplparity.cli import (
 )
 from mplparity import __version__, terms
 from mplparity.engine import ENGINE, pli
+from mplparity.roots import (
+    alt_depth2,
+    czv_to_latex,
+    czv_to_text,
+    reduce_mzv_depth2,
+    specialize,
+)
 from mplparity.terms import validate_generator
 
 GOLD = Path(__file__).parent / "golden"
@@ -315,3 +322,43 @@ def test_bernoulli_command(capsys):
     assert code == 0 and out.strip() == "-691/2730"
     code, out = run_cli(capsys, "bernoulli", "2", "--polynomial")
     assert "x^2" in out
+    code, out = run_cli(capsys, "bernoulli", "0")
+    assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bernoulli", "-1"], "argument n: must be a non-negative integer, got -1"),
+    (["verify", "--max-weight", "1", "--prec", "29"], "argument --prec: must be at least 30, got 29"),
+    (["feq", "1,2", "--verify", "--prec", "10"], "argument --prec: must be at least 30, got 10"),
+])
+def test_out_of_range_arguments_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("roots, closed", [
+    ("0/1,0/1", ("zeta(2,3)", reduce_mzv_depth2(2, 3))),
+    ("1/2,0/1", ("Li_{2,3}(1/2,0/1)", alt_depth2(2, 3, -1, 1))),
+    ("1/3,0/1", None),
+])
+def test_reduce_closed_form_branches(capsys, roots, closed):
+    combo = specialize(pli((2, 3), "canonical"), parse_roots(roots, 2))
+    for fmt, render in (("text", czv_to_text), ("latex", czv_to_latex)):
+        code, out = run_cli(capsys, "reduce", "2,3", "--roots", roots, "--closed-form",
+                            "--format", fmt)
+        assert code == 0
+        if closed is None:
+            last = "closed form: not applicable for this index/root pattern"
+        else:
+            last = f"closed form {closed[0]} = " + render(closed[1])
+        assert out.splitlines() == [f"PLi(2,3)({roots}) = " + render(combo), last]
+
+
+def test_table_text(capsys):
+    code, out = run_cli(capsys, "table", "--max-weight", "3", "--format", "text")
+    assert code == 0
+    blocks = [render_pli(pli(n), "text") for n in all_indices(3)]
+    assert out == "\n\n".join(blocks) + "\n"
+    assert blocks[0] == "PLi(1) = -ber_1(z1)"

@@ -22,7 +22,6 @@ from mplparity.oracle import (
     _power_sums,
     _prefix_levels,
     _ray_distance,
-    _to_fixed,
     ber_value,
     eval_czv,
     eval_generator,
@@ -217,9 +216,8 @@ def _unfolded_sweep(integ, letters):
     q = gauss.order
     rows = gauss.cum + (gauss.weights,) + gauss.modal
     with mp.workdps(integ.dps + GUARD_DIGITS):
-        letters = [mp.mpc(s) for s in letters]
-        panels = [(_to_fixed(a, prec), _to_fixed(b, prec)) for a, b in integ._panels(letters)]
-        fixed = [_fixed(s, prec) for s in letters]
+        fixed = [_fixed(mp.mpc(s), prec) for s in letters]
+    panels = integ._panels(fixed)
     fvals = [([1 << prec] * q, [0] * q) for _ in panels]
     left_r = left_i = est = 0
     for sr, si in reversed(fixed):
@@ -253,12 +251,41 @@ def test_folded_sweep_is_bit_identical(q):
     assert any(s == 0 for w in words for s in w)
     for letters in words:
         with mp.workdps(integ.dps + GUARD_DIGITS):
-            panels = [(_to_fixed(a, integ.prec), _to_fixed(b, integ.prec))
-                      for a, b in integ._panels([mp.mpc(s) for s in letters])]
             fixed = [_fixed(mp.mpc(s), integ.prec) for s in letters]
-        value, est = integ._sweep(fixed, panels)
+        value, est = integ._sweep(fixed, integ._panels(fixed))
         ref_value, ref_est = _unfolded_sweep(integ, letters)
         assert value._mpc_ == ref_value._mpc_ and est == ref_est, letters
+
+
+def test_panels_are_minimal_dyadic_bisections():
+    integ = HyperlogIntegrator(30, order=12)
+    prec = integ.prec
+    one = 1 << prec
+    with mp.workdps(50):
+        fixed = [_fixed(mp.mpc(*s), prec) for s in
+                 (("0.5", "0.001"), ("0",), ("-0.0002", "0.0001"), ("1.3", "0.01"))]
+        far = [_fixed(mp.mpc(*s), prec) for s in (("0",), ("3", "4"))]
+        near = [_fixed(mp.mpc("0.3", "1e-9"), prec)]
+
+    def too_close(a, b):
+        # the letter test, in exact rationals: dist < 0.9 (b - a)
+        return any(max(a - x, x - b, 0) ** 2 + y * y < Fraction(9, 10) ** 2 * (b - a) ** 2
+                   for x, y in fixed if (x, y) != (0, 0))
+
+    panels = integ._panels(fixed)
+    assert panels[0][0] == 0 and panels[-1][1] == one
+    assert all(p[1] == q[0] for p, q in zip(panels, panels[1:]))
+    for a, b in panels:
+        ln = b - a
+        assert isinstance(a, int) and ln & (ln - 1) == 0 and a % ln == 0
+        assert ln <= one >> 2 and not too_close(a, b)
+        # the panel's parent failed a test: it was longer than 1/4 or too close
+        pa = a - a % (2 * ln)
+        assert 2 * ln > one >> 2 or too_close(pa, pa + 2 * ln)
+    assert len(panels) > 20
+    assert integ._panels(far) == [(k * one >> 2, (k + 1) * one >> 2) for k in range(4)]
+    with pytest.raises(DomainError, match="too close"):
+        integ._panels(near)
 
 
 def test_word_value_runs_one_sweep(monkeypatch):
