@@ -37,6 +37,8 @@ from .terms import (
     gen_depth,
     gen_weight,
     invert_depth1,
+    json_ints,
+    json_list,
     li_generator,
     lincomb_from_dict,
     lincomb_to_dict,
@@ -297,6 +299,36 @@ def _header(index: tuple[int, ...], form: str) -> dict:
             "weight": sum(index), "ambient": len(index)}
 
 
+# The layout json.dumps(doc, indent=1) gives a SCHEMA document: one space of
+# indent per level, one value to a line, the keys in _header's order.  The
+# strings written (schema, form, integer coefficients) need no JSON escape.
+_DOC = ('{\n "schema": "%(schema)s",\n "index": %(index)s,\n "form": "%(form)s",\n'
+        ' "weight": %(weight)d,\n "ambient": %(ambient)d,\n "terms": %(terms)s\n}')
+_TERM = '  {\n   "coeff": "%s",\n   "bers": %s,\n   "lis": %s\n  }'
+_BER = '    {\n     "start": %d,\n     "weight": %d\n    }'
+_LI = '    {\n     "indices": %s,\n     "args": %s\n    }'
+_ARG = '      {\n       "start": %d,\n       "end": %d,\n       "inverted": %s\n      }'
+
+
+def document_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=1)`` of a ``SCHEMA`` document, byte for
+    byte: its ``_header`` keys and the dict ``lincomb_to_dict`` writes."""
+    terms = [
+        _TERM % (
+            t["coeff"],
+            json_list([_BER % (b["start"], b["weight"]) for b in t["bers"]], "   "),
+            json_list([
+                _LI % (json_ints(f["indices"], "     "),
+                       json_list([_ARG % (a["start"], a["end"], "true" if a["inverted"] else "false")
+                                  for a in f["args"]], "     "))
+                for f in t["lis"]
+            ], "   "),
+        )
+        for t in doc["terms"]
+    ]
+    return _DOC % dict(doc, index=json_ints(doc["index"], " "), terms=json_list(terms, " "))
+
+
 @dataclass
 class PliResult:
     index: tuple[int, ...]
@@ -310,8 +342,9 @@ class PliResult:
         is both the equation-cache file and the ``--format json`` block."""
         if self.text is None:
             doc = _header(self.index, self.form)
+            # The benchmark's tracer (perfbench/tracer.py) spans lincomb_to_dict by name.
             doc.update(lincomb_to_dict(self.equation))
-            self.text = json.dumps(doc, indent=1)
+            self.text = document_text(doc)
         return self.text
 
     @classmethod

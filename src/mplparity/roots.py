@@ -20,7 +20,7 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 from .rationals import SparseSum, ber_at_phase, bernoulli_polynomial, binom, signed_binomial
-from .terms import ConsProd, LiFactor, signed_sum_text
+from .terms import ConsProd, LiFactor, json_ints, json_list, signed_sum_text
 from . import words
 
 
@@ -516,31 +516,31 @@ def integrality_check(obj) -> bool:
 # serialization
 
 
-def czv_to_dict(c: CzvCombination) -> dict:
-    return {
-        "terms": [
-            {
-                "coeff": str(coeff),
-                "ipi_power": t.ipi,
-                "i_power": t.ipow,
-                "factors": [
-                    {
-                        "indices": list(f.indices),
-                        "roots": [f"{r.k}/{r.N}" for r in f.roots],
-                        **({"part": f.part} if f.part else {}),
-                    }
-                    for f in t.factors
-                ],
-            }
-            for t, coeff in c.sorted_items()
-        ]
-    }
+# The layout of json.dumps(doc, indent=1); the strings written (rational
+# coefficients, "k/N" roots, "re"/"im" parts) need no JSON escape.
+_CZV_TERM = '  {\n   "coeff": "%s",\n   "ipi_power": %d,\n   "i_power": %d,\n   "factors": %s\n  }'
+_CZV_FACTOR = '    {\n     "indices": %s,\n     "roots": %s%s\n    }'
 
 
 def czv_to_json(c: CzvCombination, **extra) -> str:
-    doc = dict(extra)
-    doc.update(czv_to_dict(c))
-    return json.dumps(doc, indent=1)
+    """``json.dumps(doc, indent=1)``, byte for byte, of the document that
+    holds the ``extra`` keys and then the ``terms`` of ``c``, each term with
+    its ``coeff``, ``ipi_power``, ``i_power`` and ``factors`` (a factor's
+    ``part`` only when it is set)."""
+    terms = [
+        _CZV_TERM % (coeff, t.ipi, t.ipow, json_list([
+            _CZV_FACTOR % (json_ints(f.indices, "     "),
+                           json_list(['      "%d/%d"' % (r.k, r.N) for r in f.roots], "     "),
+                           ',\n     "part": "%s"' % f.part if f.part else "")
+            for f in t.factors
+        ], "   "))
+        for t, coeff in c.sorted_items()
+    ]
+    # an extra value (a short list such as the index) nests one level deeper
+    fields = [' "%s": %s' % (k, json.dumps(v, indent=1).replace("\n", "\n "))
+              for k, v in extra.items()]
+    fields.append(' "terms": ' + json_list(terms, " "))
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def _factor_text(f: CzvFactor) -> str:

@@ -346,6 +346,20 @@ def lincomb_from_dict(data: dict) -> LinComb:
     return out
 
 
+def json_list(items: list[str], pad: str) -> str:
+    """A JSON list as ``json.dumps(..., indent=1)`` lays it out after the
+    indent ``pad``: the written ``items``, each already indented one space
+    deeper, one to a line, or ``[]`` when there are none."""
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+
+
+def json_ints(values, pad: str) -> str:
+    """A list of ints as ``json.dumps(..., indent=1)`` lays it out after the
+    indent ``pad``."""
+    inner = pad + " "
+    return json_list([inner + str(v) for v in values], pad)
+
+
 def signed_sum_text(rows, latex: bool = False) -> str:
     """Render (coefficient, factor strings) rows as a signed sum: "0" when
     there are none, "1" for a row without factors, the first sign only

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,6 +7,8 @@ import pytest
 from mplparity.engine import (
     ENGINE,
     Engine,
+    PliResult,
+    _header,
     diff_z1,
     embed,
     pli,
@@ -27,6 +30,7 @@ from mplparity.terms import (
     ber_generator,
     invert_depth1,
     li_generator,
+    lincomb_to_dict,
     make_generator,
     validate_generator,
 )
@@ -280,3 +284,12 @@ def test_depth3_closed_small_numeric():
 def test_depth3_closed_has_integer_coefficients():
     for n in [(1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 3)]:
         assert ENGINE.pli_depth3_closed(*n).equation.all_integer(), n
+
+
+@pytest.mark.parametrize("form", ["compact", "canonical"])
+def test_json_text_is_json_dumps_indent_1(form):
+    for n in all_indices(6):
+        eq = pli(n, form).equation
+        doc = _header(n, form)
+        doc.update(lincomb_to_dict(eq))
+        assert PliResult(n, eq, form).json_text == json.dumps(doc, indent=1), n

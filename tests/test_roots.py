@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import mpmath as mp
@@ -17,6 +18,7 @@ from mplparity.roots import (
     alt_depth2,
     ber_at_root,
     bernoulli_identity_check,
+    czv_to_json,
     eval_czv_combination,
     integrality_check,
     make_term,
@@ -309,6 +311,56 @@ def test_render_real_imag():
     parts = {f.part for t in rendered.terms for f in t.factors}
     assert parts <= {"re", "im", ""}
     assert "im" in parts or "re" in parts
+
+
+def czv_document(c, **extra):
+    """The document ``czv_to_json`` writes, as a dict in its key order."""
+    terms = [
+        {
+            "coeff": str(coeff),
+            "ipi_power": t.ipi,
+            "i_power": t.ipow,
+            "factors": [
+                {
+                    "indices": list(f.indices),
+                    "roots": [f"{r.k}/{r.N}" for r in f.roots],
+                    **({"part": f.part} if f.part else {}),
+                }
+                for f in t.factors
+            ],
+        }
+        for t, coeff in c.sorted_items()
+    ]
+    return {**extra, "terms": terms}
+
+
+def specialized(n, roots):
+    return specialize(pli(n, "canonical"), tuple(RootOfUnity.make(*r) for r in roots))
+
+
+CZV_CASES = {
+    "depth2": lambda: specialized((2, 3), [(1, 2), (0, 1)]),
+    "depth3": lambda: specialized((1, 2, 2), [(1, 3), (1, 4), (1, 6)]),
+    "depth4": lambda: specialized((1, 1, 1, 2), [(1, 3), (1, 4), (1, 6), (1, 2)]),
+    "closed_form": lambda: reduce_mzv_depth2(2, 3),
+    "real_imag": lambda: render_real_imag(specialize(pli((1, 2)), (ONE_ROOT, IMAG_I))),
+    "zero": CzvCombination,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CZV_CASES))
+def test_czv_to_json_is_json_dumps_indent_1(case):
+    combo = CZV_CASES[case]()
+    for extra in ({}, {"index": [1, 2]}):
+        assert czv_to_json(combo, **extra) == json.dumps(czv_document(combo, **extra), indent=1)
+
+
+def test_czv_to_json_cases_cover_fractions_parts_and_empty_terms():
+    doc = czv_document(CZV_CASES["depth2"]())
+    assert any("/" in t["coeff"] for t in doc["terms"])
+    doc = czv_document(CZV_CASES["real_imag"]())
+    assert {f.get("part") for t in doc["terms"] for f in t["factors"]} >= {"re", "im"}
+    assert czv_to_json(CZV_CASES["zero"]()) == '{\n "terms": []\n}'
 
 
 def test_divergence_cancellation_radial_probe():
